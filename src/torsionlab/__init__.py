@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .constants import CONSTANTS, PhysicalConstants, constants_table
 from .control import (
-    LoopRecord,
     NullMeasurementResult,
     PidConfig,
     PidState,

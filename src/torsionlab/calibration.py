@@ -20,8 +20,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, nnls
 
 from .constants import CONSTANTS
-from .control import PidConfig, run_null_measurement, _stability_precheck
-from .dynamics import PlantParams
+from .control import PidConfig, _closed_loop, _prepare, _Run
 from .errors import (
     ConvergenceError,
     DegenerateSweepError,
@@ -32,7 +31,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .forces import ForceModelParams, torsion_constant
+from .forces import ForceModelParams
 from .instrument import GapState, InstrumentSpec
 
 __all__ = [
@@ -282,7 +281,10 @@ def run_electrostatic_calibration(
 
     ``positions`` are actuator coordinates d_r, strictly increasing
     toward contact; ``voltages`` is the shared list of applied voltages.
-    The loop's stability is verified once up front.
+    The loop's stability is verified once up front, then the whole
+    position x voltage grid runs as one batch of closed loops. Each run
+    keeps its own random stream, seeded from (seed, position index,
+    voltage index), so its readout equals that of the same run alone.
     """
     positions = [float(p) for p in positions]
     voltages = [float(v) for v in voltages]
@@ -299,39 +301,29 @@ def run_electrostatic_calibration(
                 f"(d0 = {contact_offset:.3g} m)"
             )
 
-    alpha = torsion_constant(instrument.fiber)
-    _stability_precheck(
-        instrument,
-        pid,
-        PlantParams(balance=instrument.balance, stiffness=alpha,
-                    temperature=forces.temperature, thermal_noise=False),
-        dt,
-        actuator_mode,
+    plant, n, k_ctrl = _prepare(
+        instrument, pid, duration, dt, temperature=forces.temperature,
+        thermal_noise=thermal_noise, actuator_mode=actuator_mode,
     )
-    sweeps = []
-    for i, d_r in enumerate(positions):
-        samples = []
-        for j, v in enumerate(voltages):
-            forces_v = replace(forces, voltages=replace(forces.voltages, applied=v))
-            run_seed = np.random.SeedSequence([seed, i, j])
-            result = run_null_measurement(
-                instrument,
-                pid,
-                duration,
-                dt,
-                stiffness=alpha,
-                forces=forces_v,
-                gap=GapState(contact_offset, d_r),
-                actuator_mode=actuator_mode,
-                thermal_noise=thermal_noise,
-                pzt_jitter=pzt_jitter,
-                temperature=forces.temperature,
-                seed=run_seed,
-                check_stability=False,
-                delta_theta_min=delta_theta_min,
-            )
-            samples.append((v, result.steady_delta_v))
-        sweeps.append(VoltageSweep(d_r=d_r, samples=tuple(samples)))
+    runs = [
+        _Run(
+            forces=replace(forces, voltages=replace(forces.voltages, applied=v)),
+            gap=GapState(contact_offset, d_r),
+            seed=np.random.SeedSequence([seed, i, j]),
+            label=f"d_r = {d_r:.4g} m, V = {v:.4g} V",
+        )
+        for i, d_r in enumerate(positions)
+        for j, v in enumerate(voltages)
+    ]
+    steady = _closed_loop(
+        instrument, pid, plant, dt, n, runs, actuator_mode=actuator_mode, k_ctrl=k_ctrl,
+        pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
+    )
+    n_v = len(voltages)
+    sweeps = [
+        VoltageSweep(d_r=d_r, samples=tuple(zip(voltages, steady[i * n_v:(i + 1) * n_v])))
+        for i, d_r in enumerate(positions)
+    ]
     return calibrate_sweeps(sweeps, forces.sphere.radius)
 
 

@@ -24,7 +24,7 @@ from .calibration import (
     sweeps_from_csv,
     synthetic_michelson_trace,
 )
-from .control import run_null_measurement
+from .control import run_null_measurement, stability_precheck
 from .errors import ConfigError, InstabilityError, NumericalError, TorsionLabError
 from .instrument import GapState
 from .manifest import build_manifest, utc_now, write_manifest
@@ -76,7 +76,7 @@ def _loop_gap_and_forces(scenario: Scenario):
 
 
 def _run_simulation(scenario: Scenario, position: float | None = None,
-                    applied_force: float | None = None):
+                    applied_force: float | None = None, check_stability: bool = True):
     run = scenario.run
     forces, gap = _loop_gap_and_forces(scenario)
     if gap is not None and position is not None:
@@ -94,6 +94,7 @@ def _run_simulation(scenario: Scenario, position: float | None = None,
         pzt_jitter=run.pzt_jitter,
         temperature=scenario.forces.temperature,
         seed=scenario.seed,
+        check_stability=check_stability,
         delta_theta_min=run.delta_theta_min,
     )
 
@@ -325,9 +326,9 @@ def _sweep_point(payload) -> tuple:
     child_seed = np.random.SeedSequence([scenario.seed, index]).generate_state(1)[0]
     scenario = replace(scenario, seed=int(child_seed))
     if axis == "position":
-        result = _run_simulation(scenario, position=value)
+        result = _run_simulation(scenario, position=value, check_stability=False)
     else:
-        result = _run_simulation(scenario, applied_force=value)
+        result = _run_simulation(scenario, applied_force=value, check_stability=False)
     return index, value, result.steady_delta_v, result.settled_theta_rms
 
 
@@ -340,6 +341,8 @@ def cmd_sweep(args) -> int:
     if not values:
         key = "run.positions" if args.axis == "position" else "run.forces"
         raise ConfigError(f"sweep over {args.axis} needs {key} in the scenario")
+    # The pre-check does not depend on the swept value: run it once here.
+    stability_precheck(scenario.instrument, scenario.pid, run.dt, scenario.actuator_mode)
     flat = scenario.to_flat()
     payloads = [(flat, args.axis, i, v) for i, v in enumerate(values)]
     if args.workers > 1:

@@ -12,20 +12,13 @@ a bias voltage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import CONSTANTS
-from .dynamics import (
-    PlantParams,
-    SimState,
-    TraceRow,
-    detector_read,
-    pzt_actual_position,
-    step,
-)
+from .dynamics import PlantParams, TraceRow, _propagator, _round_half_away, check_step
 from .errors import DomainError, InstabilityError
 from .forces import ForceModelParams, torsion_constant, total_force
 from .instrument import ActuatorSpec, BalanceSpec, GapState, InstrumentSpec
@@ -33,10 +26,10 @@ from .instrument import ActuatorSpec, BalanceSpec, GapState, InstrumentSpec
 __all__ = [
     "PidConfig",
     "PidState",
-    "LoopRecord",
     "NullMeasurementResult",
     "pid_step",
     "feedback_torque",
+    "stability_precheck",
     "run_null_measurement",
 ]
 
@@ -111,27 +104,196 @@ def feedback_torque(
 
     Linear mode is its small-signal slope eps0 A bias δV / gap^2 * r_fb.
     """
+    return _feedback_law(spec, balance, mode)(delta_v)
+
+
+def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
+                  square=lambda x: x ** 2):
+    """feedback_torque as a function of δV alone, with the plate constants hoisted."""
     if spec.fb_gap <= 0:
         raise DomainError("feedback-plate gap must be positive")
     if mode not in ACTUATOR_MODES:
         raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
     scale = CONSTANTS.eps0 * spec.fb_plate_area / spec.fb_gap**2
+    arm = balance.feedback_arm
     if mode == "linear":
-        force = scale * spec.fb_bias * delta_v
-    else:
-        force = 0.5 * scale * ((spec.fb_bias + delta_v) ** 2 - spec.fb_bias**2)
-    return force * balance.feedback_arm
+        gain = scale * spec.fb_bias
+        return lambda delta_v: gain * delta_v * arm
+    half, bias, bias2 = 0.5 * scale, spec.fb_bias, spec.fb_bias**2
+    return lambda delta_v: half * (square(bias + delta_v) - bias2) * arm
 
 
-@dataclass(frozen=True)
-class LoopRecord:
-    """One sample of the closed-loop time series."""
+# Per-step helpers of the closed-loop kernel, picked once per call by batch
+# size: Python floats for one run (5x faster than numpy on 1-element arrays),
+# numpy arrays for a batch. Both give the same bits. Squares go through
+# libm's pow, as feedback_torque always has; numpy's x ** 2 is x * x, which
+# differs from pow in the last bit for some x.
+_FLOAT_OPS = (
+    _round_half_away,
+    lambda x, limit: min(max(x, -limit), limit),
+    lambda x, limit: math.copysign(limit, x) if abs(x) > limit else x,
+    abs,
+    lambda x: x ** 2,
+)
+_ARRAY_OPS = (
+    lambda x: np.copysign(np.floor(np.abs(x) + 0.5), x),
+    lambda x, limit: np.minimum(np.maximum(x, -limit), limit),
+    lambda x, limit: np.where(np.abs(x) > limit, np.copysign(limit, x), x),
+    lambda x: np.abs(x).max(),
+    lambda x: np.array([v ** 2 for v in x.tolist()]),
+)
 
-    t: float                         # s
-    error: float                     # mV
-    delta_v: float                   # V
-    theta: float                     # rad
-    applied_force: float             # N, external force on the Casimir arm
+
+class _Run(NamedTuple):
+    """One run of a closed-loop batch: its load, its random stream, its name."""
+
+    forces: ForceModelParams | None = None
+    gap: GapState | None = None
+    applied_force: float = 0.0
+    seed: object = 0
+    label: str = ""
+
+
+def _load(run: _Run, d_r: float):
+    """External force on the Casimir arm at realized position d_r, and its parts."""
+    if run.forces is None:
+        return run.applied_force, None
+    breakdown = total_force(run.forces, GapState(run.gap.contact_offset, d_r))
+    return run.applied_force + breakdown.total, breakdown.components
+
+
+def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams, dt: float,
+                 n: int, runs, *, actuator_mode: str, k_ctrl: int = 1,
+                 pzt_jitter: bool = False, delta_theta_min: float = math.inf,
+                 emit=None) -> list:
+    """Advance ``len(runs)`` independent closed loops by ``n`` steps at once.
+
+    Per step: PZT jitter and the force at the realized gap, quantized
+    detector read, PID update every ``k_ctrl`` steps, feedback torque, and
+    the exact propagator with a thermal kick. Each run draws its normals
+    from its own seed in the per-step order of the scalar stepper (PZT,
+    then thermal), so a run gives the same bits alone or in a batch. Runs
+    differ only in load, seed and label, and either all have a gap or none
+    has. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts)``
+    sees every step: floats for one run, arrays for a batch, ``parts``
+    for one run only. |theta| over 1 rad, or over 100x ``delta_theta_min``
+    after the first third, raises InstabilityError naming the run.
+    Returns each run's steady readout, the mean δV over the final third.
+    """
+    check_step(plant, dt)
+    batch = len(runs)
+    rnd, clamp, saturate, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS
+    vector = (lambda values: values[0]) if batch == 1 else np.array
+
+    jitter = pzt_jitter and runs[0].gap is not None
+    pzt_sigma = instrument.actuator.pzt_accuracy if jitter else 0.0
+    kick_sigma = plant.thermal_sigma(dt)
+    sigmas = [s for s in (pzt_sigma, kick_sigma) if s > 0.0]
+    z = np.stack([np.random.default_rng(r.seed).standard_normal((n, len(sigmas)))
+                  for r in runs], axis=-1)
+    noise = [s * z[:, i] for i, s in enumerate(sigmas)]
+    if batch == 1:
+        noise = [a[:, 0].tolist() for a in noise]
+    pzt = noise.pop(0) if pzt_sigma > 0.0 else None
+    kick = noise.pop(0) if kick_sigma > 0.0 else None
+
+    command = [r.gap.relative_position if r.gap is not None else 0.0 for r in runs]
+    if jitter:
+        command = [min(max(c, 0.0), instrument.actuator.pzt_range) for c in command]
+    d_r = command = vector(command)
+
+    def load(d_r):
+        if batch == 1:
+            return _load(runs[0], d_r)
+        return np.array([_load(r, x)[0] for r, x in zip(runs, d_r.tolist())]), None
+
+    f_ext, parts = load(d_r)
+    sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
+    kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
+    feedback = _feedback_law(instrument.actuator, instrument.balance, actuator_mode, square)
+    r_arm, alpha = instrument.balance.casimir_arm, plant.stiffness
+    axx, axv, avx, avv = _propagator(alpha, plant.balance.moment_of_inertia, plant.gamma, dt)
+    settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * delta_theta_min)
+    start = n - n // 3
+    steady = np.empty((batch, n // 3))
+    theta = omega = integral = prev = vector([0.0] * batch)
+    t = 0.0
+    for k in range(n):
+        if pzt is not None:
+            d_r = command + pzt[k]
+            f_ext, parts = load(d_r)
+        reading = sens * theta * 1e6
+        if quant > 0.0:
+            reading = quant * rnd(reading / quant)
+        if k % k_ctrl == 0:
+            integral = clamp(integral + ki * reading * dt_ctrl, pid.integral_limit)
+            delta_v = saturate(
+                kp * reading + integral + kd * ((reading - prev) / dt_ctrl), pid.output_limit
+            )
+            prev = reading
+            fb = feedback(delta_v)
+        tau = f_ext * r_arm - fb
+        if kick is not None:
+            tau = tau + kick[k]
+        x_eq = tau / alpha
+        x = theta - x_eq
+        theta = x_eq + axx * x + axv * omega
+        omega = avx * x + avv * omega
+        t += dt
+        if k >= start:
+            steady[:, k - start] = delta_v
+        if emit is not None:
+            emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts)
+        limit = 1.0 if k <= settle_end else late
+        if not peak(theta) <= limit:
+            thetas = np.abs(np.atleast_1d(theta))
+            i = int(np.argmax(~(thetas <= limit)))
+            where = f" in the run at {runs[i].label}" if runs[i].label else ""
+            raise InstabilityError(
+                f"loop diverged at t = {t:.3g} s (|theta| = {thetas[i]:.3g} rad){where} "
+                f"with gains kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
+            )
+    return [float(np.mean(row)) for row in steady]
+
+
+def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
+                       actuator_mode: str = "linear", stiffness: float | None = None) -> None:
+    """Short noiseless step-response run; raises if the loop diverges.
+
+    A 100 pN step is applied for six natural periods. The angle envelope
+    over the last two periods must fall below the envelope over the first
+    two, and must end up below the open-loop static deflection tau/alpha:
+    a bounded limit cycle (e.g. sign-flipped gains pinned by detector
+    quantization and output saturation) is just as unusable as outright
+    divergence.
+    """
+    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
+    plant = PlantParams(balance=instrument.balance, stiffness=alpha)
+    check_step(plant, dt)
+    n = int(round(6.0 * plant.period / dt))
+    per = max(1, int(round(2.0 * plant.period / dt)))
+    theta = np.empty(n)
+
+    def emit(k, t, reading, delta_v, th, *_):
+        theta[k] = th
+
+    open_loop = 100e-12 * instrument.balance.casimir_arm / plant.stiffness
+    try:
+        _closed_loop(instrument, pid, plant, dt, n, [_Run(applied_force=100e-12)],
+                     actuator_mode=actuator_mode, emit=emit)
+    except InstabilityError:
+        raise InstabilityError(
+            f"loop diverged during stability pre-check with gains "
+            f"kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
+        ) from None
+    peak_early = float(np.max(np.abs(theta[:per])))
+    peak_late = float(np.max(np.abs(theta[n - per:])))
+    if (peak_late >= peak_early or peak_late > open_loop) and peak_late > 0.0:
+        raise InstabilityError(
+            f"loop does not regulate the test step (|theta| envelope "
+            f"{peak_early:.3g} -> {peak_late:.3g} rad vs open-loop {open_loop:.3g}) "
+            f"with gains kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
+        )
 
 
 @dataclass
@@ -147,65 +309,23 @@ class NullMeasurementResult:
     settled_theta_mean: float
     settled_theta_rms: float
 
-    def iter_records(self) -> Iterator[LoopRecord]:
-        for k in range(len(self.t)):
-            yield LoopRecord(
-                t=float(self.t[k]),
-                error=float(self.error_mv[k]),
-                delta_v=float(self.delta_v[k]),
-                theta=float(self.theta[k]),
-                applied_force=float(self.applied_force[k]),
-            )
 
-
-def _stability_precheck(
-    instrument: InstrumentSpec,
-    pid: PidConfig,
-    plant: PlantParams,
-    dt: float,
-    actuator_mode: str,
-) -> None:
-    """Short noiseless step-response run; raises if the loop diverges.
-
-    A 100 pN step is applied for six natural periods. The angle envelope
-    over the last two periods must fall below the envelope over the first
-    two, and must end up below the open-loop static deflection tau/alpha:
-    a bounded limit cycle (e.g. sign-flipped gains pinned by detector
-    quantization and output saturation) is just as unusable as outright
-    divergence.
-    """
-    quiet = replace(plant, thermal_noise=False)
-    n = int(round(6.0 * plant.period / dt))
-    per = max(1, int(round(2.0 * plant.period / dt)))
-    state = SimState.seeded(0)
-    pid_state = PidState()
-    tau_ext = 100e-12 * instrument.balance.casimir_arm
-    open_loop = tau_ext / plant.stiffness
-    peak_early = 0.0
-    peak_late = 0.0
-    for k in range(n):
-        reading = detector_read(state.theta, instrument.detector)
-        delta_v, pid_state = pid_step(pid, pid_state, reading, dt)
-        tau = tau_ext - feedback_torque(
-            delta_v, instrument.actuator, instrument.balance, actuator_mode
-        )
-        step(state, quiet, tau, dt)
-        a = abs(state.theta)
-        if not math.isfinite(a) or a > 1.0:
-            raise InstabilityError(
-                f"loop diverged during stability pre-check with gains "
-                f"kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
-            )
-        if k < per:
-            peak_early = max(peak_early, a)
-        elif k >= n - per:
-            peak_late = max(peak_late, a)
-    if (peak_late >= peak_early or peak_late > open_loop) and peak_late > 0.0:
-        raise InstabilityError(
-            f"loop does not regulate the test step (|theta| envelope "
-            f"{peak_early:.3g} -> {peak_late:.3g} rad vs open-loop {open_loop:.3g}) "
-            f"with gains kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
-        )
+def _prepare(instrument, pid, duration, dt, *, stiffness=None, temperature, thermal_noise,
+             actuator_mode, check_stability=True):
+    """Validate a run's settings; return (plant, steps, steps per controller sample)."""
+    if duration <= 0 or dt <= 0:
+        raise DomainError("duration and dt must be positive")
+    if actuator_mode not in ACTUATOR_MODES:
+        raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
+    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
+    plant = PlantParams(balance=instrument.balance, stiffness=alpha,
+                        temperature=temperature, thermal_noise=thermal_noise)
+    if check_stability:
+        stability_precheck(instrument, pid, dt, actuator_mode, alpha)
+    n = int(round(duration / dt))
+    if n < 10:
+        raise DomainError("duration must cover at least 10 steps")
+    return plant, n, max(1, int(round(pid.sample_interval / dt)))
 
 
 def run_null_measurement(
@@ -235,93 +355,26 @@ def run_null_measurement(
     the run. Divergence beyond 100x ``delta_theta_min`` after the first
     third of the run raises InstabilityError.
     """
-    if duration <= 0 or dt <= 0:
-        raise DomainError("duration and dt must be positive")
-    if actuator_mode not in ACTUATOR_MODES:
-        raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
     if forces is not None and gap is None:
         raise DomainError("a gap state is required when a force model is enabled")
-
-    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
-    plant = PlantParams(
-        balance=instrument.balance,
-        stiffness=alpha,
-        temperature=temperature,
-        thermal_noise=thermal_noise,
+    plant, n, k_ctrl = _prepare(
+        instrument, pid, duration, dt, stiffness=stiffness, temperature=temperature,
+        thermal_noise=thermal_noise, actuator_mode=actuator_mode,
+        check_stability=check_stability,
     )
-    if check_stability:
-        _stability_precheck(instrument, pid, plant, dt, actuator_mode)
+    t_col, err_col, dv_col, th_col, f_col = np.empty((5, n))
 
-    n = int(round(duration / dt))
-    if n < 10:
-        raise DomainError("duration must cover at least 10 steps")
-    k_ctrl = max(1, int(round(pid.sample_interval / dt)))
-    dt_ctrl = k_ctrl * dt
-
-    state = SimState.seeded(seed, pzt_command=gap.relative_position if gap else 0.0)
-    pid_state = PidState()
-    delta_v = 0.0
-    r_arm = instrument.balance.casimir_arm
-    settle_end = n // 3
-    diverge_limit = DIVERGENCE_FACTOR * delta_theta_min
-
-    t_col = np.empty(n)
-    err_col = np.empty(n)
-    dv_col = np.empty(n)
-    th_col = np.empty(n)
-    f_col = np.empty(n)
-
-    for k in range(n):
-        if gap is not None and pzt_jitter:
-            d_r = pzt_actual_position(
-                state.pzt_command, instrument.actuator, state.rng
-            ).position
-        elif gap is not None:
-            d_r = state.pzt_command
-        else:
-            d_r = 0.0
-        state.pzt_actual = d_r
-
-        breakdown = None
-        f_ext = applied_force
-        if forces is not None:
-            breakdown = total_force(
-                forces, GapState(gap.contact_offset, d_r)
-            )
-            f_ext += breakdown.total
-
-        reading = detector_read(state.theta, instrument.detector)
-        if k % k_ctrl == 0:
-            delta_v, pid_state = pid_step(pid, pid_state, reading, dt_ctrl)
-        tau = f_ext * r_arm - feedback_torque(
-            delta_v, instrument.actuator, instrument.balance, actuator_mode
-        )
-        step(state, plant, tau, dt)
-
-        t_col[k] = state.t
-        err_col[k] = reading
-        dv_col[k] = delta_v
-        th_col[k] = state.theta
-        f_col[k] = f_ext
-
+    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts):
+        t_col[k], err_col[k], dv_col[k], th_col[k], f_col[k] = t, reading, delta_v, theta, f_ext
         if on_row is not None:
-            on_row(
-                TraceRow(
-                    t=state.t,
-                    theta=state.theta,
-                    omega=state.omega,
-                    d_r=d_r,
-                    reading_mv=reading,
-                    forces=dict(breakdown.components) if breakdown else {},
-                )
-            )
-        a = abs(state.theta)
-        if not math.isfinite(a) or a > 1.0 or (k > settle_end and a > diverge_limit):
-            raise InstabilityError(
-                f"loop diverged at t = {state.t:.3g} s (|theta| = {a:.3g} rad) with "
-                f"gains kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
-            )
+            on_row(TraceRow(t=t, theta=theta, omega=omega, d_r=d_r, reading_mv=reading,
+                            forces=dict(parts) if parts is not None else {}))
 
+    (steady,) = _closed_loop(
+        instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],
+        actuator_mode=actuator_mode, k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
+        delta_theta_min=delta_theta_min, emit=emit,
+    )
     tail = slice(n - n // 3, n)
     return NullMeasurementResult(
         t=t_col,
@@ -329,7 +382,7 @@ def run_null_measurement(
         delta_v=dv_col,
         theta=th_col,
         applied_force=f_col,
-        steady_delta_v=float(np.mean(dv_col[tail])),
+        steady_delta_v=steady,
         settled_theta_mean=float(np.mean(th_col[tail])),
         settled_theta_rms=float(np.sqrt(np.mean(th_col[tail] ** 2))),
     )

@@ -33,6 +33,7 @@ __all__ = [
     "natural_frequency",
     "thermal_torque_sample",
     "step",
+    "check_step",
     "pzt_actual_position",
     "PztReading",
     "detector_read",
@@ -118,6 +119,13 @@ class PlantParams:
     def gamma(self) -> float:
         return _damping_coefficient(self.balance, self.stiffness)
 
+    def thermal_sigma(self, dt: float) -> float:
+        """Std. dev. of one step's thermal torque, N m; 0 when no noise is drawn."""
+        gamma = self.gamma
+        if not self.thermal_noise or self.temperature == 0.0 or gamma == 0.0:
+            return 0.0
+        return math.sqrt(2.0 * CONSTANTS.k_b * self.temperature * gamma / dt)
+
 
 @dataclass
 class SimState:
@@ -127,7 +135,6 @@ class SimState:
     omega: float = 0.0               # rad/s
     t: float = 0.0                   # s
     pzt_command: float = 0.0         # m, commanded d_r
-    pzt_actual: float = 0.0          # m, realized d_r
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0)
     )
@@ -173,13 +180,8 @@ def _propagator(alpha: float, inertia: float, gamma: float, dt: float):
     return axx, axv, avx, avv
 
 
-def step(state: SimState, plant: PlantParams, external_torque: float, dt: float) -> SimState:
-    """Advance the pendulum by one fixed step of length dt (in place).
-
-    The torque (external plus, if enabled, a fresh thermal sample from
-    the state rng) is held constant over the step and the linear system
-    is propagated exactly.
-    """
+def check_step(plant: PlantParams, dt: float) -> None:
+    """Raise unless 0 < dt <= period/50, so a step resolves the pendulum motion."""
     if dt <= 0:
         raise DomainError("time step must be positive")
     max_dt = plant.period / MIN_STEPS_PER_PERIOD
@@ -188,6 +190,16 @@ def step(state: SimState, plant: PlantParams, external_torque: float, dt: float)
             f"dt = {dt:.4g} s exceeds period/{MIN_STEPS_PER_PERIOD} = {max_dt:.4g} s; "
             "reduce the step to resolve the pendulum motion"
         )
+
+
+def step(state: SimState, plant: PlantParams, external_torque: float, dt: float) -> SimState:
+    """Advance the pendulum by one fixed step of length dt (in place).
+
+    The torque (external plus, if enabled, a fresh thermal sample from
+    the state rng) is held constant over the step and the linear system
+    is propagated exactly.
+    """
+    check_step(plant, dt)
     tau = external_torque
     if plant.thermal_noise:
         tau += thermal_torque_sample(
@@ -257,15 +269,12 @@ def run_langevin(
     Noise samples are pre-drawn in one vectorized call, which is
     equivalent to per-step sampling from the same generator stream.
     """
-    if dt <= 0:
-        raise DomainError("time step must be positive")
-    if dt > plant.period / MIN_STEPS_PER_PERIOD:
-        raise DomainError("dt too large; see step()")
+    check_step(plant, dt)
     axx, axv, avx, avv = _propagator(
         plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt
     )
-    if plant.thermal_noise and plant.temperature > 0.0 and plant.gamma > 0.0:
-        sigma = math.sqrt(2.0 * CONSTANTS.k_b * plant.temperature * plant.gamma / dt)
+    sigma = plant.thermal_sigma(dt)
+    if sigma > 0.0:
         noise = np.random.default_rng(seed).standard_normal(n_steps) * sigma
     else:
         noise = np.zeros(n_steps)

@@ -34,6 +34,7 @@ from torsionlab.errors import (
     DomainError,
     InfeasibleFitError,
     InsufficientDataError,
+    InstabilityError,
     LowContrastWarning,
     NumericalError,
     SchemaError,
@@ -224,6 +225,19 @@ class TestSimulatedCalibration:
             injected = 0.02 + slope * math.log10(d_true / 1e-6)
             d_fit = min(result.v0_profile, key=lambda row: abs(row[0] - d_true))
             assert abs(d_fit[1] - injected) < 1e-3
+
+    def test_diverging_run_is_named_by_position_and_voltage(self):
+        # 10 V pulls ~1e-4 N, far beyond the ~88 nN the feedback plates can
+        # null; the run at the closest gap crosses 1 rad first.
+        with pytest.raises(
+            InstabilityError,
+            match=r"in the run at d_r = 7e-06 m, V = 10 V with gains kp=0\.5, ki=0\.08",
+        ):
+            run_electrostatic_calibration(
+                IDEAL_INSTRUMENT, PID, _forces(), 10e-6,
+                [1e-6, 3e-6, 5e-6, 7e-6], [-0.1, 0.0, 0.1, 0.2, 10.0],
+                duration=60.0, dt=0.05,
+            )
 
     def test_two_positions_insufficient(self):
         with pytest.raises(InsufficientDataError):
