@@ -3,7 +3,10 @@
 Each case runs one command on a short scenario and compares the SHA-256
 of every artifact except run_manifest.json (which carries timestamps)
 with a digest captured before the closed loop was batched. A numeric
-change that moves a digest must update it here on purpose.
+change that moves a digest must update it here on purpose. The bytes
+depend on the numpy/scipy builds and the C math library; the digests
+were captured with numpy 2.4.6 and scipy 1.17.1 on glibc 2.36, the
+versions the CI workflow installs.
 """
 
 import hashlib
