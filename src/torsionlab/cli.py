@@ -25,7 +25,7 @@ from .calibration import (
     synthetic_michelson_trace,
 )
 from .control import run_null_measurement, stability_precheck
-from .errors import ConfigError, InstabilityError, NumericalError, TorsionLabError
+from .errors import ConfigError, DomainError, InstabilityError, NumericalError, TorsionLabError
 from .instrument import GapState
 from .manifest import build_manifest, utc_now, write_manifest
 from .scenario import Scenario, load_scenario, scenario_hash
@@ -43,7 +43,10 @@ LOOP_CSV_HEADER = "t_s,error_mV,deltaV_V,theta_rad,F_ext_N"
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config) if args.config else Scenario()
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        try:
+            scenario = replace(scenario, seed=args.seed)
+        except DomainError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return scenario
 
 
@@ -60,10 +63,9 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
-def _finish(args, scenario, command, out, artifacts, started) -> None:
-    digest = scenario_hash(scenario) if scenario is not None else ""
-    seed = scenario.seed if scenario is not None else (args.seed or 0)
-    manifest = build_manifest(digest, command, seed, started, artifacts, out)
+def _finish(scenario, command, out, artifacts, started) -> None:
+    manifest = build_manifest(scenario_hash(scenario), command, scenario.seed, started,
+                              artifacts, out)
     write_manifest(manifest, out)
 
 
@@ -140,7 +142,7 @@ def cmd_simulate(args) -> int:
         "samples": len(result.t),
     }
     artifacts.append(_write_json(out / "summary.json", summary))
-    _finish(args, scenario, "simulate", out, artifacts, started)
+    _finish(scenario, "simulate", out, artifacts, started)
     print(f"steady deltaV = {result.steady_delta_v:.6g} V over {len(result.t)} samples")
     return EXIT_OK
 
@@ -213,7 +215,7 @@ def cmd_calibrate(args) -> int:
     fits_path = out / "sweep_fits.csv"
     fits_path.write_text("\n".join(fits_lines) + "\n", encoding="utf-8")
     artifacts.append(fits_path)
-    _finish(args, scenario, "calibrate", out, artifacts, started)
+    _finish(scenario, "calibrate", out, artifacts, started)
     print(
         f"d0 = {result.d0 * 1e6:.4f} um, beta = {result.beta:.6g} N/V, "
         f"{sum(p.failed for p in result.positions)} failed position(s)"
@@ -273,16 +275,14 @@ def cmd_budget(args) -> int:
     text_path = out / "budget.txt"
     text_path.write_text(text, encoding="utf-8")
     artifacts.append(text_path)
-    _finish(args, scenario, "budget", out, artifacts, started)
+    _finish(scenario, "budget", out, artifacts, started)
     print(text, end="")
     return EXIT_OK
 
 
 def cmd_michelson(args) -> int:
     started = utc_now()
-    scenario = _load(args) if args.config else Scenario(
-        seed=args.seed if args.seed is not None else 12345
-    )
+    scenario = _load(args)
     out = _out_dir(args, scenario)
     if args.input:
         trace = michelson_trace_from_csv(args.input, wavelength=args.wavelength_nm * 1e-9)
@@ -312,7 +312,7 @@ def cmd_michelson(args) -> int:
         "fringe_displacement_m": trace.wavelength / 2.0,
     }
     artifacts = [_write_json(out / "michelson_report.json", payload)]
-    _finish(args, scenario, "michelson", out, artifacts, started)
+    _finish(scenario, "michelson", out, artifacts, started)
     print(
         f"gain = {fit.gain * 1e9:.4f} nm/V, visibility = {fit.visibility:.3f}, "
         f"{fit.n_fringes:.1f} fringes"
@@ -357,7 +357,7 @@ def cmd_sweep(args) -> int:
         lines.append(f"{index},{value!r},{steady!r},{rms!r}")
     sweep_path = out / "sweep_summary.csv"
     sweep_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _finish(args, scenario, f"sweep --axis {args.axis}", out, [sweep_path], started)
+    _finish(scenario, f"sweep --axis {args.axis}", out, [sweep_path], started)
     print(f"swept {len(rows)} {args.axis} value(s) -> {sweep_path}")
     return EXIT_OK
 

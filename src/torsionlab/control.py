@@ -174,7 +174,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     from its own seed in the per-step order of the scalar stepper (PZT,
     then thermal), so a run gives the same bits alone or in a batch. Runs
     differ only in load, seed and label, and either all have a gap or none
-    has. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts)``
+    has; a gap outside the PZT travel [0, pzt_range] raises DomainError with
+    or without jitter. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts)``
     sees every step: floats for one run, arrays for a batch, ``parts``
     for one run only. |theta| over 1 rad, or over 100x ``delta_theta_min``
     after the first third, raises InstabilityError naming the run.
@@ -198,8 +199,10 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     kick = noise.pop(0) if kick_sigma > 0.0 else None
 
     command = [r.gap.relative_position if r.gap is not None else 0.0 for r in runs]
-    if jitter:
-        command = [min(max(c, 0.0), instrument.actuator.pzt_range) for c in command]
+    travel = instrument.actuator.pzt_range
+    outside = [c for c in command if not 0.0 <= c <= travel]
+    if outside:
+        raise DomainError(f"PZT command d_r = {outside[0]:.6g} m lies outside [0, {travel:.6g}] m")
     d_r = command = vector(command)
 
     def load(d_r):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DomainError, GeometryWarning
 
@@ -156,16 +156,12 @@ class ActuatorSpec:
 
 @dataclass(frozen=True)
 class InstrumentSpec:
-    """Complete physical configuration of the balance."""
+    """Physical configuration of the balance; the sphere belongs to the force model."""
 
     fiber: FiberSpec = field(default_factory=FiberSpec)
     balance: BalanceSpec = field(default_factory=BalanceSpec)
-    sphere: SphereSpec = field(default_factory=SphereSpec)
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     actuator: ActuatorSpec = field(default_factory=ActuatorSpec)
-
-    def with_(self, **kwargs) -> "InstrumentSpec":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .control import ACTUATOR_MODES, PidConfig
 from .errors import ConfigError, DomainError
-from .forces import COMPONENTS, ForceModelParams
+from .forces import ForceModelParams
 from .instrument import (
     ActuatorSpec,
     BalanceSpec,
@@ -47,57 +49,61 @@ UNIT_TABLES: dict[str, dict[str, float]] = {
     "detector-sensitivity": {"mV/urad": 1.0},
 }
 
-# key -> (kind, default). Quantity kinds name their dimension table.
+# key -> (kind, attribute path on Scenario[, scale in, scale out]). Quantity
+# and list kinds name their dimension table. A file's SI value is stored times
+# the scale in; the flat form is the stored value times the scale out: the
+# detector keeps its quantization step in readout millivolts. Defaults live in
+# the dataclasses. sphere.preset has no path: it stands for radius and material.
 _Q = "quantity:"
-KEY_REGISTRY: dict[str, tuple[str, object]] = {
-    "seed": ("int", 12345),
-    "fiber.torsion_modulus": (_Q + "pressure", 1.8e11),
-    "fiber.diameter": (_Q + "length", 76e-6),
-    "fiber.length": (_Q + "length", 0.20),
-    "balance.mass": (_Q + "mass", 0.0973),
-    "balance.casimir_arm": (_Q + "length", 0.10),
-    "balance.feedback_arm": (_Q + "length", 0.10),
-    "balance.pendulum_length": (_Q + "length", 0.20),
-    "balance.moment_of_inertia": (_Q + "inertia", None),
-    "balance.quality_factor": ("number", 1000.0),
+KEYS: dict[str, tuple] = {
+    "seed": ("int", "seed"),
+    "fiber.torsion_modulus": (_Q + "pressure", "instrument.fiber.torsion_modulus"),
+    "fiber.diameter": (_Q + "length", "instrument.fiber.diameter"),
+    "fiber.length": (_Q + "length", "instrument.fiber.length"),
+    "balance.mass": (_Q + "mass", "instrument.balance.mass"),
+    "balance.casimir_arm": (_Q + "length", "instrument.balance.casimir_arm"),
+    "balance.feedback_arm": (_Q + "length", "instrument.balance.feedback_arm"),
+    "balance.pendulum_length": (_Q + "length", "instrument.balance.pendulum_length"),
+    "balance.moment_of_inertia": (_Q + "inertia", "instrument.balance.moment_of_inertia"),
+    "balance.quality_factor": ("number", "instrument.balance.quality_factor"),
     "sphere.preset": ("string", None),
-    "sphere.radius": (_Q + "length", 0.155),
-    "sphere.material": ("string", "BK quartz, Au coated"),
-    "detector.sensitivity": (_Q + "detector-sensitivity", 0.5),
-    "detector.quantization": (_Q + "voltage", 0.1e-3),
-    "actuator.pzt_accuracy": (_Q + "length", 0.2e-9),
-    "actuator.pzt_range": (_Q + "length", 15e-6),
-    "actuator.stage_resolution": (_Q + "length", 8e-9),
-    "actuator.fb_plate_area": (_Q + "area", 1e-4),
-    "actuator.fb_gap": (_Q + "length", 1e-3),
-    "actuator.fb_bias": (_Q + "voltage", 10.0),
-    "forces.components": ("string-list", list(COMPONENTS)),
-    "forces.temperature": (_Q + "temperature", 300.0),
-    "forces.applied_voltage": (_Q + "voltage", 0.0),
-    "forces.v0": (_Q + "voltage", 0.0),
-    "forces.v0_log_slope": (_Q + "voltage", 0.0),
-    "forces.patch_rms": (_Q + "voltage", 5e-3),
-    "forces.patch_exponent": ("number", 1.0),
-    "control.kp": (_Q + "p-gain", 0.5),
-    "control.ki": (_Q + "i-gain", 0.08),
-    "control.kd": (_Q + "d-gain", 1.05),
-    "control.output_limit": (_Q + "voltage", 10.0),
-    "control.integral_limit": (_Q + "voltage", 10.0),
-    "control.sample_interval": (_Q + "time", 0.05),
-    "control.actuator_mode": ("string", "linear"),
-    "run.dt": (_Q + "time", 0.05),
-    "run.duration": (_Q + "time", 300.0),
-    "run.applied_force": (_Q + "force", 0.0),
-    "run.contact_offset": (_Q + "length", 10e-6),
-    "run.position": (_Q + "length", 0.0),
-    "run.positions": ("list:length", []),
-    "run.voltages": ("list:voltage", []),
-    "run.forces": ("list:force", []),
-    "run.thermal_noise": ("bool", False),
-    "run.pzt_jitter": ("bool", False),
-    "run.delta_theta_min": (_Q + "angle", 0.1e-6),
-    "budget.reference_distance": (_Q + "length", 1e-6),
-    "output.dir": ("string", "out"),
+    "sphere.radius": (_Q + "length", "forces.sphere.radius"),
+    "sphere.material": ("string", "forces.sphere.material"),
+    "detector.sensitivity": (_Q + "detector-sensitivity", "instrument.detector.sensitivity"),
+    "detector.quantization": (_Q + "voltage", "instrument.detector.quantization", 1e3, 1e-3),
+    "actuator.pzt_accuracy": (_Q + "length", "instrument.actuator.pzt_accuracy"),
+    "actuator.pzt_range": (_Q + "length", "instrument.actuator.pzt_range"),
+    "actuator.stage_resolution": (_Q + "length", "instrument.actuator.stage_resolution"),
+    "actuator.fb_plate_area": (_Q + "area", "instrument.actuator.fb_plate_area"),
+    "actuator.fb_gap": (_Q + "length", "instrument.actuator.fb_gap"),
+    "actuator.fb_bias": (_Q + "voltage", "instrument.actuator.fb_bias"),
+    "forces.components": ("list:string", "forces.components"),
+    "forces.temperature": (_Q + "temperature", "forces.temperature"),
+    "forces.applied_voltage": (_Q + "voltage", "forces.voltages.applied"),
+    "forces.v0": (_Q + "voltage", "forces.voltages.minimizing"),
+    "forces.v0_log_slope": (_Q + "voltage", "forces.v0_log_slope"),
+    "forces.patch_rms": (_Q + "voltage", "forces.voltages.patch_rms"),
+    "forces.patch_exponent": ("number", "forces.patch_exponent"),
+    "control.kp": (_Q + "p-gain", "pid.kp"),
+    "control.ki": (_Q + "i-gain", "pid.ki"),
+    "control.kd": (_Q + "d-gain", "pid.kd"),
+    "control.output_limit": (_Q + "voltage", "pid.output_limit"),
+    "control.integral_limit": (_Q + "voltage", "pid.integral_limit"),
+    "control.sample_interval": (_Q + "time", "pid.sample_interval"),
+    "control.actuator_mode": ("string", "actuator_mode"),
+    "run.dt": (_Q + "time", "run.dt"),
+    "run.duration": (_Q + "time", "run.duration"),
+    "run.applied_force": (_Q + "force", "run.applied_force"),
+    "run.contact_offset": (_Q + "length", "run.contact_offset"),
+    "run.position": (_Q + "length", "run.position"),
+    "run.positions": ("list:length", "run.positions"),
+    "run.voltages": ("list:voltage", "run.voltages"),
+    "run.forces": ("list:force", "run.forces"),
+    "run.thermal_noise": ("bool", "run.thermal_noise"),
+    "run.pzt_jitter": ("bool", "run.pzt_jitter"),
+    "run.delta_theta_min": (_Q + "angle", "run.delta_theta_min"),
+    "budget.reference_distance": (_Q + "length", "reference_distance"),
+    "output.dir": ("string", "output_dir"),
 }
 
 
@@ -117,6 +123,12 @@ class RunSchedule:
     pzt_jitter: bool = False
     delta_theta_min: float = 0.1e-6
 
+    def __post_init__(self) -> None:
+        if self.dt <= 0 or self.duration <= 0:
+            raise DomainError("run.dt and run.duration must be positive")
+        if self.delta_theta_min <= 0:
+            raise DomainError("run.delta_theta_min must be positive")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -131,68 +143,72 @@ class Scenario:
     seed: int = 12345
     output_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        if self.actuator_mode not in ACTUATOR_MODES:
+            raise DomainError(
+                f"control.actuator_mode must be one of {ACTUATOR_MODES}, "
+                f"got {self.actuator_mode!r}"
+            )
+        if self.reference_distance <= 0:
+            raise DomainError("budget.reference_distance must be positive")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+        travel = self.instrument.actuator.pzt_range
+        for key, values in (("run.position", (self.run.position,)),
+                            ("run.positions", self.run.positions)):
+            outside = [d for d in values if not 0.0 <= d <= travel]
+            if outside:
+                raise DomainError(
+                    f"{key} = {outside[0]:.6g} m lies outside the PZT range "
+                    f"[0, {travel:.6g}] m (actuator.pzt_range)"
+                )
+
     def to_flat(self) -> dict:
-        """Flat dotted-key dict of resolved SI values; lossless."""
-        inst, f, pid, run = self.instrument, self.forces, self.pid, self.run
-        return {
-            "seed": self.seed,
-            "fiber.torsion_modulus": inst.fiber.torsion_modulus,
-            "fiber.diameter": inst.fiber.diameter,
-            "fiber.length": inst.fiber.length,
-            "balance.mass": inst.balance.mass,
-            "balance.casimir_arm": inst.balance.casimir_arm,
-            "balance.feedback_arm": inst.balance.feedback_arm,
-            "balance.pendulum_length": inst.balance.pendulum_length,
-            "balance.moment_of_inertia": inst.balance.moment_of_inertia,
-            "balance.quality_factor": inst.balance.quality_factor,
-            "sphere.radius": inst.sphere.radius,
-            "sphere.material": inst.sphere.material,
-            "detector.sensitivity": inst.detector.sensitivity,
-            "detector.quantization": inst.detector.quantization * 1e-3,  # mV -> V
-            "actuator.pzt_accuracy": inst.actuator.pzt_accuracy,
-            "actuator.pzt_range": inst.actuator.pzt_range,
-            "actuator.stage_resolution": inst.actuator.stage_resolution,
-            "actuator.fb_plate_area": inst.actuator.fb_plate_area,
-            "actuator.fb_gap": inst.actuator.fb_gap,
-            "actuator.fb_bias": inst.actuator.fb_bias,
-            "forces.components": sorted(f.components),
-            "forces.temperature": f.temperature,
-            "forces.applied_voltage": f.voltages.applied,
-            "forces.v0": f.voltages.minimizing,
-            "forces.v0_log_slope": f.v0_log_slope,
-            "forces.patch_rms": f.voltages.patch_rms,
-            "forces.patch_exponent": f.patch_exponent,
-            "control.kp": pid.kp,
-            "control.ki": pid.ki,
-            "control.kd": pid.kd,
-            "control.output_limit": pid.output_limit,
-            "control.integral_limit": pid.integral_limit,
-            "control.sample_interval": pid.sample_interval,
-            "control.actuator_mode": self.actuator_mode,
-            "run.dt": run.dt,
-            "run.duration": run.duration,
-            "run.applied_force": run.applied_force,
-            "run.contact_offset": run.contact_offset,
-            "run.position": run.position,
-            "run.positions": list(run.positions),
-            "run.voltages": list(run.voltages),
-            "run.forces": list(run.forces),
-            "run.thermal_noise": run.thermal_noise,
-            "run.pzt_jitter": run.pzt_jitter,
-            "run.delta_theta_min": run.delta_theta_min,
-            "budget.reference_distance": self.reference_distance,
-            "output.dir": self.output_dir,
-        }
+        """Flat dotted-key dict of resolved SI values; ``from_flat`` inverts it
+        to a scenario with the same flat form and hash."""
+        flat = {}
+        for key, (kind, path, *scale) in KEYS.items():
+            if path is None:
+                continue
+            value = attrgetter(path)(self)
+            if kind.startswith("list:"):
+                value = sorted(value) if isinstance(value, frozenset) else list(value)
+            elif scale:
+                value = value * scale[1]
+            flat[key] = value
+        return flat
 
     @staticmethod
     def from_flat(values: dict) -> "Scenario":
-        return _build_scenario(dict(values))
+        return _build_scenario(values, flat=True)
+
+
+# Attribute path -> (name in error messages, constructor), children first.
+_SECTIONS = {
+    "instrument.fiber": ("fiber", FiberSpec),
+    "instrument.balance": ("balance", BalanceSpec),
+    "instrument.detector": ("detector", DetectorSpec),
+    "instrument.actuator": ("actuator", ActuatorSpec),
+    "instrument": ("instrument", InstrumentSpec),
+    "forces.sphere": ("sphere", SphereSpec),
+    "forces.voltages": ("forces", VoltageState),
+    "forces": ("forces", ForceModelParams),
+    "pid": ("control", PidConfig),
+    "run": ("run", RunSchedule),
+    "": ("scenario", Scenario),
+}
 
 
 def scenario_hash(scenario: Scenario) -> str:
     """SHA-256 of the canonical JSON form; stable under key reordering."""
     payload = json.dumps(scenario.to_flat(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _finite(number: float, raw: str, where: str) -> float:
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: {raw!r} is not a finite number")
+    return number
 
 
 def _parse_quantity(raw: str, dimension: str, where: str) -> float:
@@ -219,23 +235,24 @@ def _parse_quantity(raw: str, dimension: str, where: str) -> float:
             f"{where}: unknown unit {unit!r}; expected {dimension} "
             f"({', '.join(table)})"
         )
-    return number * table[unit]
+    return _finite(number * table[unit], raw, where)
 
 
-def _parse_value(key: str, kind: str, raw: str, where: str):
+def _parse_value(kind: str, raw: str, where: str):
     if kind.startswith("quantity:"):
         return _parse_quantity(raw, kind.split(":", 1)[1], where)
     if kind.startswith("list:"):
         dimension = kind.split(":", 1)[1]
         items = [s.strip() for s in raw.split(",") if s.strip()]
+        if dimension == "string":
+            return items
         return [_parse_quantity(item, dimension, where) for item in items]
-    if kind == "string-list":
-        return [s.strip() for s in raw.split(",") if s.strip()]
     if kind == "number":
         try:
-            return float(raw)
+            number = float(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected a plain number, got {raw!r}") from None
+        return _finite(number, raw, where)
     if kind == "int":
         try:
             return int(raw, 0)
@@ -270,13 +287,12 @@ def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
         raw = value_part.strip()
         key_col = line.find(key) + 1
         where = f"{source}:{lineno}:{key_col}"
-        if key not in KEY_REGISTRY:
+        if key not in KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        kind, _default = KEY_REGISTRY[key]
-        value_where = f"{source}:{lineno}:{stripped.find(value_part.strip()) + 1 if raw else key_col}"
-        values[key] = _parse_value(key, kind, raw, value_where)
+        value_col = stripped.find(value_part.strip()) + 1 if raw else key_col
+        values[key] = _parse_value(KEYS[key][0], raw, f"{source}:{lineno}:{value_col}: {key}")
     return _build_scenario(values, source=source)
 
 
@@ -289,126 +305,39 @@ def load_scenario(path) -> Scenario:
     return parse_scenario_text(text, source=str(path))
 
 
-def _build_scenario(values: dict, source: str = "<config>") -> Scenario:
-    def get(key):
-        if key in values:
-            return values[key]
-        return KEY_REGISTRY[key][1]
-
-    def section(name, builder, **kwargs):
-        try:
-            return builder(**kwargs)
-        except DomainError as exc:
-            raise ConfigError(f"{source}: invalid {name}: {exc}") from None
-
-    fiber = section(
-        "fiber",
-        FiberSpec,
-        torsion_modulus=get("fiber.torsion_modulus"),
-        diameter=get("fiber.diameter"),
-        length=get("fiber.length"),
-    )
-    balance = section(
-        "balance",
-        BalanceSpec,
-        mass=get("balance.mass"),
-        casimir_arm=get("balance.casimir_arm"),
-        feedback_arm=get("balance.feedback_arm"),
-        pendulum_length=get("balance.pendulum_length"),
-        moment_of_inertia=get("balance.moment_of_inertia"),
-        quality_factor=get("balance.quality_factor"),
-    )
-    preset = get("sphere.preset")
+def _build_scenario(values: dict, source: str = "<config>", flat: bool = False) -> Scenario:
+    """Scenario from parsed or flat values; keys left out keep their defaults."""
+    preset = values.get("sphere.preset")
     if preset is not None:
         if preset not in SPHERE_PRESETS:
             raise ConfigError(
                 f"{source}: unknown sphere preset {preset!r}; "
                 f"available: {', '.join(sorted(SPHERE_PRESETS))}"
             )
+        if "sphere.radius" in values or "sphere.material" in values:
+            raise ConfigError(
+                f"{source}: sphere.preset cannot be combined with sphere.radius "
+                f"or sphere.material"
+            )
         sphere = SPHERE_PRESETS[preset]
-    else:
-        sphere = section(
-            "sphere", SphereSpec, radius=get("sphere.radius"), material=get("sphere.material")
-        )
-    detector = section(
-        "detector",
-        DetectorSpec,
-        sensitivity=get("detector.sensitivity"),
-        quantization=get("detector.quantization") * 1e3,  # V -> mV, readout units
-    )
-    actuator = section(
-        "actuator",
-        ActuatorSpec,
-        pzt_accuracy=get("actuator.pzt_accuracy"),
-        pzt_range=get("actuator.pzt_range"),
-        stage_resolution=get("actuator.stage_resolution"),
-        fb_plate_area=get("actuator.fb_plate_area"),
-        fb_gap=get("actuator.fb_gap"),
-        fb_bias=get("actuator.fb_bias"),
-    )
-    components = get("forces.components")
-    forces = section(
-        "forces",
-        ForceModelParams,
-        sphere=sphere,
-        voltages=VoltageState(
-            applied=get("forces.applied_voltage"),
-            minimizing=get("forces.v0"),
-            patch_rms=get("forces.patch_rms"),
-        ),
-        temperature=get("forces.temperature"),
-        components=frozenset(components),
-        patch_exponent=get("forces.patch_exponent"),
-        v0_log_slope=get("forces.v0_log_slope"),
-    )
-    pid = section(
-        "control",
-        PidConfig,
-        kp=get("control.kp"),
-        ki=get("control.ki"),
-        kd=get("control.kd"),
-        output_limit=get("control.output_limit"),
-        integral_limit=get("control.integral_limit"),
-        sample_interval=get("control.sample_interval"),
-    )
-    mode = get("control.actuator_mode")
-    if mode not in ACTUATOR_MODES:
-        raise ConfigError(
-            f"{source}: control.actuator_mode must be one of {ACTUATOR_MODES}, got {mode!r}"
-        )
-    run = RunSchedule(
-        dt=get("run.dt"),
-        duration=get("run.duration"),
-        applied_force=get("run.applied_force"),
-        contact_offset=get("run.contact_offset"),
-        position=get("run.position"),
-        positions=tuple(get("run.positions")),
-        voltages=tuple(get("run.voltages")),
-        forces=tuple(get("run.forces")),
-        thermal_noise=bool(get("run.thermal_noise")),
-        pzt_jitter=bool(get("run.pzt_jitter")),
-        delta_theta_min=get("run.delta_theta_min"),
-    )
-    if run.dt <= 0 or run.duration <= 0:
-        raise ConfigError(f"{source}: run.dt and run.duration must be positive")
-    if run.delta_theta_min <= 0:
-        raise ConfigError(f"{source}: run.delta_theta_min must be positive")
-    reference = get("budget.reference_distance")
-    if reference <= 0:
-        raise ConfigError(f"{source}: budget.reference_distance must be positive")
-    seed = get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"{source}: seed must be an integer")
-    instrument = InstrumentSpec(
-        fiber=fiber, balance=balance, sphere=sphere, detector=detector, actuator=actuator
-    )
-    return Scenario(
-        instrument=instrument,
-        forces=forces,
-        pid=pid,
-        actuator_mode=mode,
-        run=run,
-        reference_distance=reference,
-        seed=seed,
-        output_dir=str(get("output.dir")),
-    )
+        values = {**values, "sphere.radius": sphere.radius, "sphere.material": sphere.material}
+    arguments = {path: {} for path in _SECTIONS}
+    for key, value in values.items():
+        kind, path, *scale = KEYS[key]
+        if path is None:
+            continue
+        if kind.startswith("list:"):
+            value = tuple(value)
+        elif scale:  # (v / out) * out == v keeps the hash; (v * in) * out may not
+            value = value / scale[1] if flat else value * scale[0]
+        parent, _, name = path.rpartition(".")
+        arguments[parent][name] = value
+    for path, (name, constructor) in _SECTIONS.items():
+        try:
+            built = constructor(**arguments[path])
+        except DomainError as exc:
+            raise ConfigError(f"{source}: invalid {name}: {exc}") from None
+        if path:
+            parent, _, attr = path.rpartition(".")
+            arguments[parent][attr] = built
+    return built

@@ -31,11 +31,7 @@ __all__ = [
     "jitter_force_floor",
     "max_thermal_casimir_distance",
     "build_report",
-    "DEFAULT_MIN_ANGLE",
 ]
-
-# Minimum resolvable deflection set by the detector electronics (rad).
-DEFAULT_MIN_ANGLE = 0.1e-6
 
 
 def _require_positive(**values) -> None:
@@ -137,7 +133,7 @@ class SensitivityReport:
 def build_report(
     instrument: InstrumentSpec,
     forces: ForceModelParams,
-    delta_theta_min: float = DEFAULT_MIN_ANGLE,
+    delta_theta_min: float = 0.1e-6,  # rad, detector-limited
     reference_distance: float = 1e-6,
 ) -> SensitivityReport:
     """Assemble the full budget for an instrument + force configuration.

@@ -259,3 +259,35 @@ class TestOutputDir:
         cfg = _cfg(tmp_path, "output.dir = budget_out\n")
         assert main(["budget", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "budget_out" / "budget.json").exists()
+
+
+class TestBadInputExitCode:
+    # Each case: extra arguments, scenario text, text the message must name.
+    CASES = {
+        "nan_duration": ([], "run.duration = nan s\n", "run.duration"),
+        "inf_duration": ([], "run.duration = inf s\n", "run.duration"),
+        "nan_fiber_length": ([], "fiber.length = nan m\n", "fiber.length"),
+        "nan_temperature": ([], "forces.temperature = nan K\n", "forces.temperature"),
+        "nan_kp": ([], "control.kp = nan V/mV\n", "control.kp"),
+        "overflowing_quantity": ([], "fiber.torsion_modulus = 1e308 GPa\n",
+                                 "fiber.torsion_modulus"),
+        "negative_seed": ([], "seed = -3\n", "seed"),
+        "negative_seed_flag": (["--seed", "-1"], "", "--seed"),
+        "preset_with_radius": ([], "sphere.preset = bead-110um\nsphere.radius = 1 cm\n",
+                               "sphere.preset"),
+        "preset_with_material": ([], "sphere.preset = bead-110um\nsphere.material = glass\n",
+                                 "sphere.preset"),
+        "position_beyond_range": ([], "run.position = 20 um\n", "run.position"),
+        "position_below_range": ([], "run.position = -1 um\n", "run.position"),
+        "positions_beyond_range": ([], "run.positions = 1 um, 16 um\n", "run.positions"),
+        "positions_beyond_custom_range": (
+            [], "actuator.pzt_range = 5 um\nrun.positions = 1 um, 6 um\n", "run.positions"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_and_names_the_key(self, tmp_path, capsys, case):
+        extra, text, key = self.CASES[case]
+        cfg = _cfg(tmp_path, text)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err

@@ -183,3 +183,15 @@ class TestNullMeasurement:
         assert set(first.forces) == {"patch", "casimir_ideal"}
         assert first.d_r == 4e-6
         assert rows[1].t > rows[0].t
+
+
+class TestPztRange:
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("d_r", [-1e-6, 20e-6])
+    def test_command_outside_travel_raises_in_both_jitter_modes(self, jitter, d_r):
+        from torsionlab import ForceModelParams, GapState
+
+        forces = ForceModelParams(components=frozenset({"electrostatic"}))
+        with pytest.raises(DomainError, match=r"outside \[0, 1\.5e-05\] m"):
+            run_null_measurement(IDEAL, PID, 30.0, 0.05, forces=forces,
+                                 gap=GapState(30e-6, d_r), pzt_jitter=jitter)

@@ -1,9 +1,89 @@
 """Scenario parsing: units, defaults, rejection, round trips, hashing."""
 
-import pytest
+import re
+import tempfile
+from pathlib import Path
 
-from torsionlab import Scenario, build_report, parse_scenario_text, scenario_hash, torsion_constant
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from torsionlab import (
+    SPHERE_PRESETS,
+    Scenario,
+    build_report,
+    parse_scenario_text,
+    scenario_hash,
+    torsion_constant,
+)
+from torsionlab.cli import EXIT_CONFIG, EXIT_OK, main
 from torsionlab.errors import ConfigError
+from torsionlab.scenario import KEYS, UNIT_TABLES
+
+# Every stored key at a non-default value. Scaling any subset of the
+# numbers by 1 to 1.3 keeps the scenario valid.
+ALL_KEYS = {
+    "seed": "4242",
+    "fiber.torsion_modulus": "150 GPa",
+    "fiber.diameter": "80 um",
+    "fiber.length": "25 cm",
+    "balance.mass": "120 g",
+    "balance.casimir_arm": "12 cm",
+    "balance.feedback_arm": "9 cm",
+    "balance.pendulum_length": "30 cm",
+    "balance.moment_of_inertia": "6e-4 kg.m2",
+    "balance.quality_factor": "500",
+    "sphere.radius": "10.3 cm",
+    "sphere.material": "fused silica, Au coated",
+    "detector.sensitivity": "0.8 mV/urad",
+    "detector.quantization": "0.25 mV",
+    "actuator.pzt_accuracy": "0.5 nm",
+    "actuator.pzt_range": "20 um",
+    "actuator.stage_resolution": "10 nm",
+    "actuator.fb_plate_area": "2 cm2",
+    "actuator.fb_gap": "2 mm",
+    "actuator.fb_bias": "15 V",
+    "forces.components": "patch, electrostatic, casimir_thermal",
+    "forces.temperature": "77 K",
+    "forces.applied_voltage": "50 mV",
+    "forces.v0": "20 mV",
+    "forces.v0_log_slope": "3 mV",
+    "forces.patch_rms": "7 mV",
+    "forces.patch_exponent": "1.5",
+    "control.kp": "0.6 V/mV",
+    "control.ki": "0.05 V/mV/s",
+    "control.kd": "1.2 V.s/mV",
+    "control.output_limit": "8 V",
+    "control.integral_limit": "6 V",
+    "control.sample_interval": "0.1 s",
+    "control.actuator_mode": "quadratic",
+    "run.dt": "0.02 s",
+    "run.duration": "120 s",
+    "run.applied_force": "50 pN",
+    "run.contact_offset": "12 um",
+    "run.position": "3 um",
+    "run.positions": "1 um, 4 um, 6.5 um",
+    "run.voltages": "-0.2 V, 0 V, 250 mV",
+    "run.forces": "10 pN, 20 pN",
+    "run.thermal_noise": "true",
+    "run.pzt_jitter": "yes",
+    "run.delta_theta_min": "0.2 urad",
+    "budget.reference_distance": "2 um",
+    "output.dir": "results/all",
+}
+NUMERIC = sorted(
+    key for key, (kind, *_) in KEYS.items()
+    if kind == "number" or kind.startswith("quantity:")
+    or (kind.startswith("list:") and kind != "list:string")
+)
+
+
+def _text(values: dict) -> str:
+    return "".join(f"{key} = {raw}\n" for key, raw in values.items())
+
+
+def _scaled(raw: str, factor: float) -> str:
+    items = (item.split(None, 1) for item in raw.split(","))
+    return ", ".join(" ".join([repr(float(item[0]) * factor), *item[1:]]) for item in items)
 
 
 class TestDefaults:
@@ -13,7 +93,7 @@ class TestDefaults:
         assert s.instrument.fiber.length == 0.20
         assert s.instrument.fiber.torsion_modulus == 1.8e11
         assert s.instrument.balance.mass == 0.0973
-        assert s.instrument.sphere.radius == 0.155
+        assert s.forces.sphere.radius == 0.155
         assert s.instrument.detector.sensitivity == 0.5
         assert s.instrument.actuator.pzt_accuracy == 0.2e-9
         assert s.forces.temperature == 300.0
@@ -87,11 +167,35 @@ class TestRejection:
         with pytest.raises(ConfigError, match="preset"):
             parse_scenario_text("sphere.preset = basketball\n")
 
+    @pytest.mark.parametrize("other", ["sphere.radius = 1 cm", "sphere.material = glass"])
+    def test_preset_is_exclusive(self, other):
+        with pytest.raises(ConfigError, match="sphere.preset cannot be combined"):
+            parse_scenario_text(f"sphere.preset = bead-110um\n{other}\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "-inf", "1e999"])
+    @pytest.mark.parametrize("key", NUMERIC)
+    def test_non_finite_value_names_the_key(self, key, raw):
+        kind = KEYS[key][0]
+        unit = "" if kind == "number" else " " + next(iter(UNIT_TABLES[kind.split(":", 1)[1]]))
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: '{raw}{unit}' is not a finite number")):
+            parse_scenario_text(f"{key} = {raw}{unit}\n")
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            parse_scenario_text("seed = -3\n")
+
+    def test_positions_must_lie_within_pzt_range(self):
+        parse_scenario_text("run.position = 15 um\nrun.positions = 0 um, 15 um\n")
+        with pytest.raises(ConfigError, match=r"run.positions = 1.6e-05 m lies outside"):
+            parse_scenario_text("run.positions = 1 um, 16 um\n")
+        with pytest.raises(ConfigError, match=r"run.position = 6e-06 m .*pzt_range"):
+            parse_scenario_text("actuator.pzt_range = 5 um\nrun.position = 6 um\n")
+
 
 class TestPresetsAndRoundTrip:
     def test_sphere_preset_sets_radius(self):
         s = parse_scenario_text("sphere.preset = bead-110um\n")
-        assert s.instrument.sphere.radius == 110e-6
+        assert s.forces.sphere.radius == 110e-6
 
     def test_flat_round_trip_is_lossless(self):
         text = (
@@ -116,3 +220,86 @@ class TestPresetsAndRoundTrip:
         a = parse_scenario_text("seed = 5\n")
         b = parse_scenario_text("seed = 6\n")
         assert scenario_hash(a) != scenario_hash(b)
+
+
+class TestHashPins:
+    """scenario_hash of fixed scenarios, captured before the key table existed."""
+
+    def test_default(self):
+        assert scenario_hash(Scenario()) == (
+            "053ec97f51b68cc9634919e5396fced0668ac63c2131975b4c711adc42a9978f"
+        )
+
+    def test_every_key_at_a_non_default_value(self):
+        s = parse_scenario_text(_text(ALL_KEYS))
+        flat, default = s.to_flat(), Scenario().to_flat()
+        assert flat.keys() == set(KEYS) - {"sphere.preset"}
+        assert [key for key in flat if flat[key] == default[key]] == []
+        assert scenario_hash(s) == (
+            "741fd64ff4d67bf325134fbae290726aeb9c754e2544a7c4c47a108e682ccfd2"
+        )
+
+    def test_sphere_preset(self):
+        s = parse_scenario_text("sphere.preset = lens-1.10mm\nseed = 7\n")
+        assert scenario_hash(s) == (
+            "66ec08b1f9daa4e73289dfa0606d163101074dffe49500061f7e30432c0f414d"
+        )
+
+
+@st.composite
+def valid_configs(draw) -> str:
+    values = {}
+    for key, raw in ALL_KEYS.items():
+        if draw(st.booleans()):
+            values[key] = _scaled(raw, draw(st.floats(1.0, 1.3))) if key in NUMERIC else raw
+    if draw(st.booleans()):
+        values.pop("sphere.radius", None)
+        values.pop("sphere.material", None)
+        values["sphere.preset"] = draw(st.sampled_from(sorted(SPHERE_PRESETS)))
+    return _text(values)
+
+
+# Mostly broken values: non-finite or unparsable numbers, foreign units,
+# negative amounts, words; plus arbitrary text.
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e999", "-3", "0", "1.5", "x", ""])
+_UNITS = st.sampled_from(["", *sorted({u for table in UNIT_TABLES.values() for u in table}),
+                          "furlong"])
+_VALUES = st.one_of(
+    st.builds(lambda n, u: f"{n} {u}".strip(), _NUMBERS, _UNITS),
+    st.lists(st.builds(lambda n, u: f"{n} {u}".strip(), _NUMBERS, _UNITS), min_size=1)
+    .map(", ".join),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20),
+)
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_configs())
+    def test_flat_round_trip_keeps_hash(self, text):
+        s = parse_scenario_text(text)
+        again = Scenario.from_flat(s.to_flat())
+        assert again.to_flat() == s.to_flat()
+        assert scenario_hash(again) == scenario_hash(s)
+        assert Scenario.from_flat(again.to_flat()) == again
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 10.0))
+    def test_scaled_key_round_trip_keeps_hash(self, millivolts):
+        s = parse_scenario_text(f"detector.quantization = {millivolts!r} mV\n")
+        assert scenario_hash(Scenario.from_flat(s.to_flat())) == scenario_hash(s)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(KEYS) + ["fiber.bogus"]), raw=_VALUES)
+    def test_bad_input_exits_2_never_1(self, key, raw):
+        text = f"{key} = {raw}\n"
+        try:
+            parse_scenario_text(text)
+            rejected = False
+        except ConfigError:
+            rejected = True
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "bad.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            code = main(["budget", "--config", str(cfg), "--out", tmp])
+        assert code == EXIT_CONFIG if rejected else code in (EXIT_OK, EXIT_CONFIG)
