@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, nnls
 
 from .constants import CONSTANTS
 from .control import PidConfig, _closed_loop, _prepare, _Run
@@ -376,6 +375,7 @@ def decompose_residual(points, *, nonnegative: bool = False, weights=None) -> Re
             "widen the distance span"
         )
     if nonnegative:
+        from scipy.optimize import nnls
         coef_s, _ = nnls(Xs, yw)
     else:
         coef_s, _, _, _ = np.linalg.lstsq(Xs, yw, rcond=None)
@@ -493,6 +493,7 @@ def michelson_calibrate(trace: MichelsonTrace) -> MichelsonCalibration:
         return i0 * (1.0 + vis * np.cos(4.0 * math.pi * gain * volts / trace.wavelength + phase))
 
     p0 = [float(np.mean(y)), 0.5, gain0, 0.0]
+    from scipy.optimize import OptimizeWarning, curve_fit
     with warnings.catch_warnings():
         # noiseless traces fit exactly; the singular covariance is irrelevant
         warnings.simplefilter("ignore", OptimizeWarning)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,8 +320,7 @@ def cmd_michelson(args) -> int:
 
 
 def _sweep_point(payload) -> tuple:
-    flat, axis, index, value = payload
-    scenario = Scenario.from_flat(flat)
+    scenario, axis, index, value = payload
     child_seed = np.random.SeedSequence([scenario.seed, index]).generate_state(1)[0]
     scenario = replace(scenario, seed=int(child_seed))
     if axis == "position":
@@ -343,9 +341,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep over {args.axis} needs {key} in the scenario")
     # The pre-check does not depend on the swept value: run it once here.
     stability_precheck(scenario.instrument, scenario.pid, run.dt, scenario.actuator_mode)
-    flat = scenario.to_flat()
-    payloads = [(flat, args.axis, i, v) for i, v in enumerate(values)]
+    payloads = [(scenario, args.axis, i, v) for i, v in enumerate(values)]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.workers, len(payloads))) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:

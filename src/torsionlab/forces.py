@@ -45,7 +45,17 @@ def torsion_constant(fiber) -> float:
     """
     if fiber.torsion_modulus <= 0 or fiber.diameter <= 0 or fiber.length <= 0:
         raise DomainError("fiber parameters must be positive")
-    return math.pi * fiber.torsion_modulus * fiber.diameter**4 / (32.0 * fiber.length)
+    try:
+        alpha = math.pi * fiber.torsion_modulus * fiber.diameter**4 / (32.0 * fiber.length)
+    except OverflowError:  # diameter**4 beyond float range
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise DomainError(
+            f"torsion constant pi * Z * D^4 / (32 * L) overflows for fiber.diameter = "
+            f"{fiber.diameter:.6g} m (fiber.torsion_modulus = {fiber.torsion_modulus:.6g} Pa, "
+            f"fiber.length = {fiber.length:.6g} m)"
+        )
+    return alpha
 
 
 def _check_gap(d: float) -> None:

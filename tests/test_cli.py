@@ -1,12 +1,17 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes."""
 
+import concurrent.futures
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from torsionlab import cli
 from torsionlab.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_NUMERICAL, EXIT_OK, main
 from torsionlab.manifest import verify_manifest
+from torsionlab.scenario import Scenario, load_scenario
 
 FAST_SIM = (
     "run.duration = 60 s\n"
@@ -253,6 +258,55 @@ class TestSweep:
         assert steadys[0] < steadys[1] < steadys[2]
 
 
+def _sweep_point_and_its_scenario(payload):
+    """Pool worker: one sweep point's row and the scenario it simulated."""
+    with mock.patch.object(cli, "_run_simulation", wraps=cli._run_simulation) as run:
+        row = cli._sweep_point(payload)
+    return row, run.call_args.args[0]
+
+
+class TestSweepPointScenario:
+    # 0.247 mV is one of the steps the flat form does not give back exactly.
+    CFG = (
+        "run.duration = 20 s\n"
+        "detector.quantization = 0.247 mV\n"
+        "run.contact_offset = 10 um\n"
+        "run.positions = 2 um, 5 um\n"
+    )
+
+    def _check(self, cfg, seen):
+        loaded = load_scenario(cfg)
+        assert Scenario.from_flat(loaded.to_flat()) != loaded  # the hazard is present
+        assert len(seen) == len(loaded.run.positions)
+        for index, scenario in enumerate(seen):
+            child = np.random.SeedSequence([loaded.seed, index]).generate_state(1)[0]
+            assert scenario == replace(loaded, seed=int(child))
+
+    def test_serial_point_runs_the_loaded_scenario(self, tmp_path):
+        cfg = _cfg(tmp_path, self.CFG)
+        with mock.patch.object(cli, "_run_simulation", wraps=cli._run_simulation) as run:
+            assert main(["sweep", "--axis", "position", "--config", str(cfg),
+                         "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
+        self._check(cfg, [c.args[0] for c in run.call_args_list])
+
+    def test_pooled_point_runs_the_loaded_scenario(self, tmp_path, monkeypatch):
+        seen = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                assert fn is cli._sweep_point
+                results = super().map(_sweep_point_and_its_scenario, *iterables, **kwargs)
+                for row, scenario in results:
+                    seen.append(scenario)
+                    yield row
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = _cfg(tmp_path, self.CFG)
+        assert main(["sweep", "--axis", "position", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--workers", "2"]) == EXIT_OK
+        self._check(cfg, seen)
+
+
 class TestOutputDir:
     def test_scenario_output_dir_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -282,6 +336,7 @@ class TestBadInputExitCode:
         "positions_beyond_range": ([], "run.positions = 1 um, 16 um\n", "run.positions"),
         "positions_beyond_custom_range": (
             [], "actuator.pzt_range = 5 um\nrun.positions = 1 um, 6 um\n", "run.positions"),
+        "overflowing_fiber_diameter": ([], "fiber.diameter = 1e100 m\n", "fiber.diameter"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -54,6 +54,16 @@ class TestTorsionConstant:
         with pytest.raises(DomainError):
             FiberSpec(1.8e11, 0.0, 0.20)
 
+    def test_overflow_is_a_domain_error(self):
+        from torsionlab.errors import GeometryWarning
+
+        with pytest.warns(GeometryWarning):  # D/L = 5e100
+            huge_diameter = FiberSpec(1.8e11, 1e100, 0.20)  # D**4 raises OverflowError
+        huge_modulus = FiberSpec(1e308, 76e-6, 0.20)        # pi * Z is inf, no exception
+        for fiber in (huge_diameter, huge_modulus):
+            with pytest.raises(DomainError, match="fiber.diameter"):
+                torsion_constant(fiber)
+
     def test_fat_fiber_warns(self):
         from torsionlab.errors import GeometryWarning
 
