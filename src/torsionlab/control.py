@@ -38,6 +38,9 @@ ACTUATOR_MODES = ("linear", "quadratic")
 # Angle ceiling used by the divergence check, in units of delta_theta_min.
 DIVERGENCE_FACTOR = 100.0
 
+# Longest stability pre-check, in steps; the reference instrument needs 7,900.
+PRECHECK_MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PidConfig:
@@ -259,11 +262,17 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     return [float(np.mean(row)) for row in steady]
 
 
+def _sample_steps(pid: PidConfig, dt: float) -> int:
+    """Plant steps per controller sample."""
+    return max(1, int(round(pid.sample_interval / dt)))
+
+
 def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
                        actuator_mode: str = "linear", stiffness: float | None = None) -> None:
     """Short noiseless step-response run; raises if the loop diverges.
 
-    A 100 pN step is applied for six natural periods. The angle envelope
+    A 100 pN step is applied for six natural periods, with the controller
+    sampling at ``pid.sample_interval`` as in the run. The angle envelope
     over the last two periods must fall below the envelope over the first
     two, and must end up below the open-loop static deflection tau/alpha:
     a bounded limit cycle (e.g. sign-flipped gains pinned by detector
@@ -274,6 +283,12 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
     plant = PlantParams(balance=instrument.balance, stiffness=alpha)
     check_step(plant, dt)
     n = int(round(6.0 * plant.period / dt))
+    if n > PRECHECK_MAX_STEPS:
+        raise DomainError(
+            f"stability pre-check of six natural periods ({plant.period:.3g} s each) at "
+            f"run.dt = {dt:.3g} s needs {n:.3g} steps, over the cap of {PRECHECK_MAX_STEPS}; "
+            f"check fiber.diameter, which sets the period, or raise run.dt"
+        )
     per = max(1, int(round(2.0 * plant.period / dt)))
     theta = np.empty(n)
 
@@ -283,7 +298,7 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
     open_loop = 100e-12 * instrument.balance.casimir_arm / plant.stiffness
     try:
         _closed_loop(instrument, pid, plant, dt, n, [_Run(applied_force=100e-12)],
-                     actuator_mode=actuator_mode, emit=emit)
+                     actuator_mode=actuator_mode, k_ctrl=_sample_steps(pid, dt), emit=emit)
     except InstabilityError:
         raise InstabilityError(
             f"loop diverged during stability pre-check with gains "
@@ -328,7 +343,7 @@ def _prepare(instrument, pid, duration, dt, *, stiffness=None, temperature, ther
     n = int(round(duration / dt))
     if n < 10:
         raise DomainError("duration must cover at least 10 steps")
-    return plant, n, max(1, int(round(pid.sample_interval / dt)))
+    return plant, n, _sample_steps(pid, dt)
 
 
 def run_null_measurement(

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from torsionlab import cli
+from torsionlab import cli, control
 from torsionlab.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_NUMERICAL, EXIT_OK, main
 from torsionlab.manifest import verify_manifest
 from torsionlab.scenario import Scenario, load_scenario
@@ -77,6 +77,18 @@ class TestSimulate:
         cfg = _cfg(tmp_path, "run.duration = 60 s\ncontrol.kp = -1 V/mV\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "force", "--workers", "1"]])
+    def test_precheck_samples_at_the_controller_interval(self, tmp_path, capsys, argv):
+        # The default gains hold a loop sampled every 0.05 s step but not one
+        # sampled every 1 s: the pre-check must test the loop that will run.
+        cfg = _cfg(tmp_path, "control.sample_interval = 1 s\nrun.forces = 100 pN\n"
+                             "run.duration = 60 s\n")
+        with mock.patch.object(control, "_closed_loop", wraps=control._closed_loop) as loop:
+            code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INSTABILITY
+        assert loop.call_count == 1  # the pre-check's own run, no run step after it
+        assert "test step" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = _cfg(tmp_path, "fiber.length = -1 m\n")
@@ -337,6 +349,7 @@ class TestBadInputExitCode:
         "positions_beyond_custom_range": (
             [], "actuator.pzt_range = 5 um\nrun.positions = 1 um, 6 um\n", "run.positions"),
         "overflowing_fiber_diameter": ([], "fiber.diameter = 1e100 m\n", "fiber.diameter"),
+        "vanishing_fiber_diameter": ([], "fiber.diameter = 1e-30 m\n", "fiber.diameter"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
