@@ -221,9 +221,6 @@ class CalibrationResult:
     positions: list                           # of PositionCalibration
     sphere_radius: float
 
-    def v0_at_positions(self) -> dict:
-        return {d: v0 for d, v0 in self.v0_profile}
-
 
 def calibrate_sweeps(sweeps, sphere_radius: float) -> CalibrationResult:
     """Full analysis of a set of voltage sweeps.

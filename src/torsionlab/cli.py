@@ -36,7 +36,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INSTABILITY = 4
 
-LOOP_CSV_HEADER = "t_s,error_mV,deltaV_V,theta_rad,F_ext_N"
+# timeseries.csv / timeseries.json column -> NullMeasurementResult attribute
+LOOP_COLUMNS = {
+    "t_s": "t",
+    "error_mV": "error_mv",
+    "deltaV_V": "delta_v",
+    "theta_rad": "theta",
+    "F_ext_N": "applied_force",
+}
+
+# sweep_fits.csv column and calibration_report.json position key -> ParabolaFit
+# attribute; the cells are empty (None) for a position whose fit failed
+FIT_COLUMNS = {
+    "curvature_per_V": "curvature",
+    "V0_V": "v0",
+    "offset_V": "offset",
+    "rms_residual_V": "rms_residual",
+}
+POSITION_COLUMNS = ("d_r_m", *FIT_COLUMNS, "failed")
 
 
 def _load(args) -> Scenario:
@@ -49,12 +66,6 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _out_dir(args, scenario: Scenario) -> Path:
-    out = Path(args.out) if args.out is not None else Path(scenario.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, payload) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -62,26 +73,46 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
-def _finish(scenario, command, out, artifacts, started) -> None:
-    manifest = build_manifest(scenario_hash(scenario), command, scenario.seed, started,
-                              artifacts, out)
-    write_manifest(manifest, out)
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write rows of numbers as their repr, with None as an empty cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+    return path
 
 
-def _loop_gap_and_forces(scenario: Scenario):
-    if scenario.forces.components:
-        return scenario.forces, GapState(
-            scenario.run.contact_offset, scenario.run.position
-        )
-    return None, None
+def _command(name: str):
+    """Give a command body the path every command shares.
+
+    The body takes (args, scenario, out) and returns its artifact paths and
+    the line to print. Around it the runner loads the scenario, creates the
+    output directory, and writes the manifest under ``name`` formatted with
+    the parsed arguments.
+    """
+    def decorate(body):
+        def run(args) -> int:
+            started = utc_now()
+            scenario = _load(args)
+            out = Path(args.out) if args.out is not None else Path(scenario.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            artifacts, message = body(args, scenario, out)
+            manifest = build_manifest(scenario_hash(scenario), name.format(**vars(args)),
+                                      scenario.seed, started, artifacts, out)
+            write_manifest(manifest, out)
+            print(message)
+            return EXIT_OK
+        return run
+    return decorate
 
 
 def _run_simulation(scenario: Scenario, position: float | None = None,
                     applied_force: float | None = None, check_stability: bool = True):
     run = scenario.run
-    forces, gap = _loop_gap_and_forces(scenario)
-    if gap is not None and position is not None:
-        gap = GapState(run.contact_offset, position)
+    forces = scenario.forces if scenario.forces.components else None
+    gap = None if forces is None else GapState(
+        run.contact_offset, run.position if position is None else position
+    )
     return run_null_measurement(
         scenario.instrument,
         scenario.pid,
@@ -100,38 +131,24 @@ def _run_simulation(scenario: Scenario, position: float | None = None,
     )
 
 
+def _loop_rows(result):
+    """The loop record row by row, as Python floats in LOOP_COLUMNS order."""
+    columns = [getattr(result, attr) for attr in LOOP_COLUMNS.values()]
+    return (map(float, row) for row in zip(*columns))
+
+
 def write_loop_csv(result, path: Path) -> Path:
-    lines = [LOOP_CSV_HEADER]
-    for k in range(len(result.t)):
-        lines.append(
-            f"{float(result.t[k])!r},{float(result.error_mv[k])!r},"
-            f"{float(result.delta_v[k])!r},{float(result.theta[k])!r},"
-            f"{float(result.applied_force[k])!r}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_csv(path, LOOP_COLUMNS, _loop_rows(result))
 
 
-def cmd_simulate(args) -> int:
-    started = utc_now()
-    scenario = _load(args)
-    out = _out_dir(args, scenario)
+@_command("simulate")
+def cmd_simulate(args, scenario, out):
     result = _run_simulation(scenario)
-    artifacts = []
     if args.format == "json":
-        rows = [
-            {
-                "t_s": float(result.t[k]),
-                "error_mV": float(result.error_mv[k]),
-                "deltaV_V": float(result.delta_v[k]),
-                "theta_rad": float(result.theta[k]),
-                "F_ext_N": float(result.applied_force[k]),
-            }
-            for k in range(len(result.t))
-        ]
-        artifacts.append(_write_json(out / "timeseries.json", rows))
+        rows = [dict(zip(LOOP_COLUMNS, row)) for row in _loop_rows(result)]
+        series = _write_json(out / "timeseries.json", rows)
     else:
-        artifacts.append(write_loop_csv(result, out / "timeseries.csv"))
+        series = write_loop_csv(result, out / "timeseries.csv")
     summary = {
         "scenario_hash": scenario_hash(scenario),
         "seed": scenario.seed,
@@ -140,38 +157,18 @@ def cmd_simulate(args) -> int:
         "settled_theta_rms_rad": result.settled_theta_rms,
         "samples": len(result.t),
     }
-    artifacts.append(_write_json(out / "summary.json", summary))
-    _finish(scenario, "simulate", out, artifacts, started)
-    print(f"steady deltaV = {result.steady_delta_v:.6g} V over {len(result.t)} samples")
-    return EXIT_OK
+    return ([series, _write_json(out / "summary.json", summary)],
+            f"steady deltaV = {result.steady_delta_v:.6g} V over {len(result.t)} samples")
 
 
-def _calibration_payload(result) -> dict:
-    return {
-        "d0_m": result.d0,
-        "beta_N_per_V": result.beta,
-        "prefactor_Vm_per_V2": result.prefactor,
-        "sphere_radius_m": result.sphere_radius,
-        "v0_profile": [{"d_m": d, "V0_V": v0} for d, v0 in result.v0_profile],
-        "positions": [
-            {
-                "d_r_m": p.d_r,
-                "failed": p.failed,
-                "error": p.error,
-                "curvature_per_V": None if p.failed else p.fit.curvature,
-                "V0_V": None if p.failed else p.fit.v0,
-                "offset_V": None if p.failed else p.fit.offset,
-                "rms_residual_V": None if p.failed else p.fit.rms_residual,
-            }
-            for p in result.positions
-        ],
-    }
+def _position_row(p) -> dict:
+    """One position's fit, keyed by POSITION_COLUMNS plus its error message."""
+    fit = {col: None if p.failed else getattr(p.fit, attr) for col, attr in FIT_COLUMNS.items()}
+    return {"d_r_m": p.d_r, **fit, "failed": p.failed, "error": p.error}
 
 
-def cmd_calibrate(args) -> int:
-    started = utc_now()
-    scenario = _load(args)
-    out = _out_dir(args, scenario)
+@_command("calibrate")
+def cmd_calibrate(args, scenario, out):
     if args.input:
         sweeps = sweeps_from_csv(args.input)
         result = calibrate_sweeps(sweeps, scenario.forces.sphere.radius)
@@ -197,29 +194,25 @@ def cmd_calibrate(args) -> int:
             seed=scenario.seed,
             delta_theta_min=run.delta_theta_min,
         )
-    artifacts = [_write_json(out / "calibration_report.json", _calibration_payload(result))]
-    profile_lines = ["d_m,V0_V"] + [f"{d!r},{v0!r}" for d, v0 in result.v0_profile]
-    profile_path = out / "v0_profile.csv"
-    profile_path.write_text("\n".join(profile_lines) + "\n", encoding="utf-8")
-    artifacts.append(profile_path)
-    fits_lines = ["d_r_m,curvature_per_V,V0_V,offset_V,rms_residual_V,failed"]
-    for p in result.positions:
-        if p.failed:
-            fits_lines.append(f"{p.d_r!r},,,,,True")
-        else:
-            fits_lines.append(
-                f"{p.d_r!r},{p.fit.curvature!r},{p.fit.v0!r},{p.fit.offset!r},"
-                f"{p.fit.rms_residual!r},False"
-            )
-    fits_path = out / "sweep_fits.csv"
-    fits_path.write_text("\n".join(fits_lines) + "\n", encoding="utf-8")
-    artifacts.append(fits_path)
-    _finish(scenario, "calibrate", out, artifacts, started)
-    print(
+    rows = [_position_row(p) for p in result.positions]
+    report = {
+        "d0_m": result.d0,
+        "beta_N_per_V": result.beta,
+        "prefactor_Vm_per_V2": result.prefactor,
+        "sphere_radius_m": result.sphere_radius,
+        "v0_profile": [{"d_m": d, "V0_V": v0} for d, v0 in result.v0_profile],
+        "positions": rows,
+    }
+    artifacts = [
+        _write_json(out / "calibration_report.json", report),
+        _write_csv(out / "v0_profile.csv", ("d_m", "V0_V"), result.v0_profile),
+        _write_csv(out / "sweep_fits.csv", POSITION_COLUMNS,
+                   ([row[col] for col in POSITION_COLUMNS] for row in rows)),
+    ]
+    return artifacts, (
         f"d0 = {result.d0 * 1e6:.4f} um, beta = {result.beta:.6g} N/V, "
         f"{sum(p.failed for p in result.positions)} failed position(s)"
     )
-    return EXIT_OK
 
 
 def _budget_text(report) -> str:
@@ -230,12 +223,8 @@ def _budget_text(report) -> str:
         ("force resolution", f"{report.force_resolution * 1e12:.3f} pN"),
     ]
     for model, floor in report.jitter_force_floor.items():
-        rows.append(
-            (
-                f"jitter floor [{model}] at {report.reference_distance * 1e6:g} um",
-                f"{floor * 1e12:.4f} pN",
-            )
-        )
+        name = f"jitter floor [{model}] at {report.reference_distance * 1e6:g} um"
+        rows.append((name, f"{floor * 1e12:.4f} pN"))
     if report.d_max_thermal is not None:
         rows.append(("thermal Casimir reach", f"{report.d_max_thermal * 1e6:.3f} um"))
     rows.append(
@@ -243,13 +232,11 @@ def _budget_text(report) -> str:
     )
     rows.append(("swing noise negligible", "yes" if report.swing_negligible else "no"))
     width = max(len(r[0]) for r in rows)
-    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def cmd_budget(args) -> int:
-    started = utc_now()
-    scenario = _load(args)
-    out = _out_dir(args, scenario)
+@_command("budget")
+def cmd_budget(args, scenario, out):
     report = build_report(
         scenario.instrument,
         scenario.forces,
@@ -269,20 +256,14 @@ def cmd_budget(args) -> int:
         "swing_negligible": report.swing_negligible,
         "inputs": report.inputs,
     }
-    artifacts = [_write_json(out / "budget.json", payload)]
     text = _budget_text(report)
     text_path = out / "budget.txt"
-    text_path.write_text(text, encoding="utf-8")
-    artifacts.append(text_path)
-    _finish(scenario, "budget", out, artifacts, started)
-    print(text, end="")
-    return EXIT_OK
+    text_path.write_text(text + "\n", encoding="utf-8")
+    return [_write_json(out / "budget.json", payload), text_path], text
 
 
-def cmd_michelson(args) -> int:
-    started = utc_now()
-    scenario = _load(args)
-    out = _out_dir(args, scenario)
+@_command("michelson")
+def cmd_michelson(args, scenario, out):
     if args.input:
         trace = michelson_trace_from_csv(args.input, wavelength=args.wavelength_nm * 1e-9)
     elif args.synthetic:
@@ -310,13 +291,10 @@ def cmd_michelson(args) -> int:
         "wavelength_m": trace.wavelength,
         "fringe_displacement_m": trace.wavelength / 2.0,
     }
-    artifacts = [_write_json(out / "michelson_report.json", payload)]
-    _finish(scenario, "michelson", out, artifacts, started)
-    print(
+    return [_write_json(out / "michelson_report.json", payload)], (
         f"gain = {fit.gain * 1e9:.4f} nm/V, visibility = {fit.visibility:.3f}, "
         f"{fit.n_fringes:.1f} fringes"
     )
-    return EXIT_OK
 
 
 def _sweep_point(payload) -> tuple:
@@ -330,10 +308,8 @@ def _sweep_point(payload) -> tuple:
     return index, value, result.steady_delta_v, result.settled_theta_rms
 
 
-def cmd_sweep(args) -> int:
-    started = utc_now()
-    scenario = _load(args)
-    out = _out_dir(args, scenario)
+@_command("sweep --axis {axis}")
+def cmd_sweep(args, scenario, out):
     run = scenario.run
     values = list(run.positions if args.axis == "position" else run.forces)
     if not values:
@@ -345,19 +321,13 @@ def cmd_sweep(args) -> int:
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.workers, len(payloads))) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(_sweep_point, payloads))  # in payload order
     else:
         rows = [_sweep_point(p) for p in payloads]
-    rows.sort(key=lambda r: r[0])  # merge by sweep index, not completion order
     unit = "d_r_m" if args.axis == "position" else "F_ext_N"
-    lines = [f"index,{unit},steady_deltaV_V,settled_theta_rms_rad"]
-    for index, value, steady, rms in rows:
-        lines.append(f"{index},{value!r},{steady!r},{rms!r}")
-    sweep_path = out / "sweep_summary.csv"
-    sweep_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _finish(scenario, f"sweep --axis {args.axis}", out, [sweep_path], started)
-    print(f"swept {len(rows)} {args.axis} value(s) -> {sweep_path}")
-    return EXIT_OK
+    header = ("index", unit, "steady_deltaV_V", "settled_theta_rms_rad")
+    path = _write_csv(out / "sweep_summary.csv", header, rows)
+    return [path], f"swept {len(rows)} {args.axis} value(s) -> {path}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,29 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, default=None, help="scenario file")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: scenario output.dir)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run one closed-loop null measurement")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_cal = sub.add_parser("calibrate", help="electrostatic calibration pipeline")
-    common(p_cal)
+    command("simulate", cmd_simulate, "run one closed-loop null measurement")
+    p_cal = command("calibrate", cmd_calibrate, "electrostatic calibration pipeline")
     p_cal.add_argument("--input", type=Path, default=None,
                        help="sweep CSV (d_r_m,V_V,deltaV_V) instead of simulating")
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_bud = sub.add_parser("budget", help="noise and sensitivity budget")
-    common(p_bud)
-    p_bud.set_defaults(func=cmd_budget)
-
-    p_mic = sub.add_parser("michelson", help="PZT gain from interferometer fringes")
-    common(p_mic)
+    command("budget", cmd_budget, "noise and sensitivity budget")
+    p_mic = command("michelson", cmd_michelson, "PZT gain from interferometer fringes")
     p_mic.add_argument("--input", type=Path, default=None,
                        help="trace CSV (pzt_V,intensity)")
     p_mic.add_argument("--synthetic", action="store_true", help="generate a trace")
@@ -400,13 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mic.add_argument("--points", type=int, default=600)
     p_mic.add_argument("--noise", type=float, default=0.0, help="intensity noise rms")
     p_mic.add_argument("--wavelength-nm", type=float, default=632.8)
-    p_mic.set_defaults(func=cmd_michelson)
-
-    p_sw = sub.add_parser("sweep", help="fan a simulation over positions or forces")
-    common(p_sw)
+    p_sw = command("sweep", cmd_sweep, "fan a simulation over positions or forces")
     p_sw.add_argument("--axis", choices=("position", "force"), default="position")
     p_sw.add_argument("--workers", type=int, default=4)
-    p_sw.set_defaults(func=cmd_sweep)
     return parser
 
 
