@@ -321,7 +321,7 @@ def cmd_sweep(args, scenario, out):
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.workers, len(payloads))) as pool:
-            rows = list(pool.map(_sweep_point, payloads))  # in payload order
+            rows = list(pool.map(_sweep_point, payloads))  # map keeps payload order
     else:
         rows = [_sweep_point(p) for p in payloads]
     unit = "d_r_m" if args.axis == "position" else "F_ext_N"
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, func, about):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", type=Path, default=None, help="scenario file")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
         p.add_argument("--out", type=Path, default=None,
