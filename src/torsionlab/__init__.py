@@ -58,6 +58,7 @@ from .forces import (
     casimir_force_thermal,
     electrostatic_force_exact,
     electrostatic_force_pfa,
+    force_law,
     patch_force,
     torsion_constant,
     total_force,

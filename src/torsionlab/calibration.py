@@ -445,8 +445,10 @@ def synthetic_michelson_trace(
     seed: int = 0,
 ) -> MichelsonTrace:
     """Generate an ideal-interferometer trace covering ``n_fringes``."""
-    if gain <= 0 or n_fringes <= 0:
-        raise DomainError("gain and fringe count must be positive")
+    if gain <= 0 or n_fringes <= 0 or wavelength <= 0:
+        raise DomainError("gain, fringe count and wavelength must be positive")
+    if noise_rms < 0:
+        raise DomainError(f"intensity noise rms must not be negative, got {noise_rms:g}")
     span = n_fringes * (wavelength / 2.0) / gain
     v = np.linspace(0.0, span, n_points)
     intensity = mean_intensity * (

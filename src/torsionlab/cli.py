@@ -344,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: scenario output.dir)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(func=func)
         return p
 
-    command("simulate", cmd_simulate, "run one closed-loop null measurement")
+    p_sim = command("simulate", cmd_simulate, "run one closed-loop null measurement")
+    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_cal = command("calibrate", cmd_calibrate, "electrostatic calibration pipeline")
     p_cal.add_argument("--input", type=Path, default=None,
                        help="sweep CSV (d_r_m,V_V,deltaV_V) instead of simulating")

@@ -20,7 +20,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .dynamics import PlantParams, TraceRow, _propagator, _round_half_away, check_step
 from .errors import DomainError, InstabilityError
-from .forces import ForceModelParams, torsion_constant, total_force
+from .forces import ForceModelParams, force_law, torsion_constant, total_force
 from .instrument import ActuatorSpec, BalanceSpec, GapState, InstrumentSpec
 
 __all__ = [
@@ -157,12 +157,12 @@ class _Run(NamedTuple):
     label: str = ""
 
 
-def _load(run: _Run, d_r: float):
-    """External force on the Casimir arm at realized position d_r, and its parts."""
+def _load(run: _Run):
+    """External force on the Casimir arm as a function of the realized position d_r."""
     if run.forces is None:
-        return run.applied_force, None
-    breakdown = total_force(run.forces, GapState(run.gap.contact_offset, d_r))
-    return run.applied_force + breakdown.total, breakdown.components
+        return lambda d_r, f=run.applied_force: f
+    return (lambda d_r, f=run.applied_force, d0=run.gap.contact_offset,
+            law=force_law(run.forces): f + law(d0 - d_r))
 
 
 def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams, dt: float,
@@ -178,10 +178,12 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     then thermal), so a run gives the same bits alone or in a batch. Runs
     differ only in load, seed and label, and either all have a gap or none
     has; a gap outside the PZT travel [0, pzt_range] raises DomainError with
-    or without jitter. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts)``
-    sees every step: floats for one run, arrays for a batch, ``parts``
-    for one run only. |theta| over 1 rad, or over 100x ``delta_theta_min``
-    after the first third, raises InstabilityError naming the run.
+    or without jitter. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, None)``
+    sees every step: floats for one run, arrays for a batch. The loop
+    evaluates each run's ``forces.force_law`` for the total only; a caller
+    that needs the breakdown evaluates total_force at d_r. |theta| over
+    1 rad, or over 100x ``delta_theta_min`` after the first third, raises
+    InstabilityError naming the run.
     Returns each run's steady readout, the mean δV over the final third.
     """
     check_step(plant, dt)
@@ -208,12 +210,11 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
         raise DomainError(f"PZT command d_r = {outside[0]:.6g} m lies outside [0, {travel:.6g}] m")
     d_r = command = vector(command)
 
-    def load(d_r):
-        if batch == 1:
-            return _load(runs[0], d_r)
-        return np.array([_load(r, x)[0] for r, x in zip(runs, d_r.tolist())]), None
+    loads = [_load(r) for r in runs]
+    load = loads[0] if batch == 1 else (
+        lambda d_r: np.array([f(x) for f, x in zip(loads, d_r.tolist())]))
 
-    f_ext, parts = load(d_r)
+    f_ext = load(d_r)
     sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
     kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
     feedback = _feedback_law(instrument.actuator, instrument.balance, actuator_mode, square)
@@ -227,7 +228,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     for k in range(n):
         if pzt is not None:
             d_r = command + pzt[k]
-            f_ext, parts = load(d_r)
+            f_ext = load(d_r)
         reading = sens * theta * 1e6
         if quant > 0.0:
             reading = quant * rnd(reading / quant)
@@ -249,7 +250,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
         if k >= start:
             steady[:, k - start] = delta_v
         if emit is not None:
-            emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts)
+            emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, None)
         limit = 1.0 if k <= settle_end else late
         if not peak(theta) <= limit:
             thetas = np.abs(np.atleast_1d(theta))
@@ -287,7 +288,8 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
         raise DomainError(
             f"stability pre-check of six natural periods ({plant.period:.3g} s each) at "
             f"run.dt = {dt:.3g} s needs {n:.3g} steps, over the cap of {PRECHECK_MAX_STEPS}; "
-            f"check fiber.diameter, which sets the period, or raise run.dt"
+            f"check fiber.diameter and balance.moment_of_inertia, which set the period, "
+            f"or raise run.dt"
         )
     per = max(1, int(round(2.0 * plant.period / dt)))
     theta = np.empty(n)
@@ -382,11 +384,12 @@ def run_null_measurement(
     )
     t_col, err_col, dv_col, th_col, f_col = np.empty((5, n))
 
-    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts):
+    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, _):
         t_col[k], err_col[k], dv_col[k], th_col[k], f_col[k] = t, reading, delta_v, theta, f_ext
         if on_row is not None:
             on_row(TraceRow(t=t, theta=theta, omega=omega, d_r=d_r, reading_mv=reading,
-                            forces=dict(parts) if parts is not None else {}))
+                            forces={} if forces is None else total_force(
+                                forces, GapState(gap.contact_offset, d_r)).components))
 
     (steady,) = _closed_loop(
         instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],

@@ -25,6 +25,7 @@ __all__ = [
     "casimir_force_ideal",
     "casimir_force_thermal",
     "patch_force",
+    "force_law",
     "total_force",
 ]
 
@@ -49,9 +50,10 @@ def torsion_constant(fiber) -> float:
         alpha = math.pi * fiber.torsion_modulus * fiber.diameter**4 / (32.0 * fiber.length)
     except OverflowError:  # diameter**4 beyond float range
         alpha = math.inf
-    if not math.isfinite(alpha):
+    if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(
-            f"torsion constant pi * Z * D^4 / (32 * L) overflows for fiber.diameter = "
+            f"torsion constant pi * Z * D^4 / (32 * L) "
+            f"{'underflows to 0' if alpha == 0.0 else 'overflows'} for fiber.diameter = "
             f"{fiber.diameter:.6g} m (fiber.torsion_modulus = {fiber.torsion_modulus:.6g} Pa, "
             f"fiber.length = {fiber.length:.6g} m)"
         )
@@ -63,16 +65,34 @@ def _check_gap(d: float) -> None:
         raise DomainError(f"gap distance d = {d!r} must be positive and finite")
 
 
+def _require_open(d: float) -> float:
+    if d <= 0 or not math.isfinite(d):
+        raise DomainError(f"absolute gap d = d0 - d_r = {d:.3g} m must be positive")
+    return d
+
+
+def _check_radius(R: float) -> None:
+    if R <= 0:
+        raise DomainError("sphere radius must be positive")
+
+
+def _electrostatic_pfa_law(R: float, V: float, V0):
+    """electrostatic_force_pfa with V0 a function of d."""
+    _check_radius(R)
+
+    def law(d, k=math.pi * R * CONSTANTS.eps0, V=V, V0=V0):
+        dv = V - V0(d)
+        return k * dv * dv / d
+    return law
+
+
 def electrostatic_force_pfa(R: float, V: float, V0: float, d: float) -> float:
     """Sphere-plane electrostatic force in the close-approach limit.
 
     F = pi * R * eps0 * (V - V0)^2 / d, valid for d << R.
     """
     _check_gap(d)
-    if R <= 0:
-        raise DomainError("sphere radius must be positive")
-    dv = V - V0
-    return math.pi * R * CONSTANTS.eps0 * dv * dv / d
+    return _electrostatic_pfa_law(R, V, lambda _: V0)(d)
 
 
 def electrostatic_force_exact(R: float, V: float, V0: float, d: float) -> float:
@@ -89,8 +109,7 @@ def electrostatic_force_exact(R: float, V: float, V0: float, d: float) -> float:
     minimum term count before testing).
     """
     _check_gap(d)
-    if R <= 0:
-        raise DomainError("sphere radius must be positive")
+    _check_radius(R)
     dv = V - V0
     if dv == 0.0:
         return 0.0
@@ -113,6 +132,17 @@ def electrostatic_force_exact(R: float, V: float, V0: float, d: float) -> float:
     return 2.0 * math.pi * CONSTANTS.eps0 * dv * dv * total
 
 
+def _casimir_ideal_law(R: float):
+    _check_radius(R)
+
+    def law(d, R=R, k=math.pi**3 * CONSTANTS.hbar * CONSTANTS.c * R):
+        if d / R > 0.1:
+            warnings.warn(f"d/R = {d / R:.3g} > 0.1: proximity-force approximation unreliable",
+                          PfaValidityWarning, stacklevel=3)
+        return k / (360.0 * d**3)
+    return law
+
+
 def casimir_force_ideal(R: float, d: float) -> float:
     """Zero-temperature ideal-conductor sphere-plane Casimir force (PFA).
 
@@ -120,15 +150,14 @@ def casimir_force_ideal(R: float, d: float) -> float:
     where the proximity-force picture degrades.
     """
     _check_gap(d)
-    if R <= 0:
-        raise DomainError("sphere radius must be positive")
-    if d / R > 0.1:
-        warnings.warn(
-            f"d/R = {d / R:.3g} > 0.1: proximity-force approximation unreliable",
-            PfaValidityWarning,
-            stacklevel=2,
-        )
-    return math.pi**3 * CONSTANTS.hbar * CONSTANTS.c * R / (360.0 * d**3)
+    return _casimir_ideal_law(R)(d)
+
+
+def _casimir_thermal_law(R: float, T: float):
+    _check_radius(R)
+    if T <= 0:
+        raise DomainError("temperature must be positive")
+    return lambda d, k=CONSTANTS.zeta3 * CONSTANTS.k_b * T * R: k / (8.0 * d * d)
 
 
 def casimir_force_thermal(R: float, d: float, T: float) -> float:
@@ -137,11 +166,17 @@ def casimir_force_thermal(R: float, d: float, T: float) -> float:
     F = zeta(3) k_b T R / (8 d^2).
     """
     _check_gap(d)
-    if R <= 0:
-        raise DomainError("sphere radius must be positive")
-    if T <= 0:
-        raise DomainError("temperature must be positive")
-    return CONSTANTS.zeta3 * CONSTANTS.k_b * T * R / (8.0 * d * d)
+    return _casimir_thermal_law(R, T)(d)
+
+
+def _patch_law(R: float, V_patch: float, n: float):
+    _check_radius(R)
+    if not 1.0 <= n <= 4.0:
+        raise DomainError(f"patch exponent n = {n!r} must lie in [1, 4]")
+    if V_patch < 0:
+        raise DomainError("patch rms voltage cannot be negative")
+    k = math.pi * R * CONSTANTS.eps0 * V_patch**2 * PATCH_REFERENCE_DISTANCE ** (n - 1.0)
+    return lambda d, k=k, n=n: k / d**n
 
 
 def patch_force(R: float, d: float, V_patch: float, n: float = 1.0) -> float:
@@ -151,20 +186,7 @@ def patch_force(R: float, d: float, V_patch: float, n: float = 1.0) -> float:
     n = 1 reproduces the electrostatic form with an rms residual voltage.
     """
     _check_gap(d)
-    if R <= 0:
-        raise DomainError("sphere radius must be positive")
-    if not 1.0 <= n <= 4.0:
-        raise DomainError(f"patch exponent n = {n!r} must lie in [1, 4]")
-    if V_patch < 0:
-        raise DomainError("patch rms voltage cannot be negative")
-    return (
-        math.pi
-        * R
-        * CONSTANTS.eps0
-        * V_patch**2
-        * PATCH_REFERENCE_DISTANCE ** (n - 1.0)
-        / d**n
-    )
+    return _patch_law(R, V_patch, n)(d)
 
 
 @dataclass(frozen=True)
@@ -207,21 +229,32 @@ class ForceBreakdown:
         return self.components[name]
 
 
+def _component_laws(params: ForceModelParams) -> dict:
+    """Each enabled component as a function of the gap d, in COMPONENTS order."""
+    R, v = params.sphere.radius, params.voltages
+    laws = {
+        "electrostatic": _electrostatic_pfa_law(R, v.applied, params.minimizing_voltage_at),
+        "casimir_ideal": _casimir_ideal_law(R),
+        "casimir_thermal": _casimir_thermal_law(R, params.temperature),
+        "patch": _patch_law(R, v.patch_rms, params.patch_exponent),
+    }
+    return {name: law for name, law in laws.items() if name in params.components}
+
+
+def force_law(params: ForceModelParams):
+    """``total_force(params, GapState(d, 0.0)).total`` as a function of d alone.
+
+    Each ``_*_law`` hoists its expression's leading constant product, bound
+    as a default argument, so the law gives total_force's bits and errors.
+    """
+    def law(d, laws=tuple(_component_laws(params).values()), fsum=math.fsum):
+        d = _require_open(d)
+        return fsum([f(d) for f in laws])
+    return law
+
+
 def total_force(params: ForceModelParams, gap: GapState) -> ForceBreakdown:
     """Evaluate every enabled component at the current gap and sum them."""
-    d = gap.require_open()
-    R = params.sphere.radius
-    parts: dict[str, float] = {}
-    if "electrostatic" in params.components:
-        parts["electrostatic"] = electrostatic_force_pfa(
-            R, params.voltages.applied, params.minimizing_voltage_at(d), d
-        )
-    if "casimir_ideal" in params.components:
-        parts["casimir_ideal"] = casimir_force_ideal(R, d)
-    if "casimir_thermal" in params.components:
-        parts["casimir_thermal"] = casimir_force_thermal(R, d, params.temperature)
-    if "patch" in params.components:
-        parts["patch"] = patch_force(
-            R, d, params.voltages.patch_rms, params.patch_exponent
-        )
+    d = _require_open(gap.absolute_gap)
+    parts = {name: law(d) for name, law in _component_laws(params).items()}
     return ForceBreakdown(components=parts, total=math.fsum(parts.values()))

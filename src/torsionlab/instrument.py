@@ -6,7 +6,6 @@ and emit warnings for legal-but-suspicious combinations.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ class FiberSpec:
                 f"fiber aspect ratio D/L = {self.diameter / self.length:.3g} > 0.01; "
                 "thin-rod torsion formula is questionable",
                 GeometryWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass __init__
             )
 
 
@@ -77,7 +76,7 @@ class BalanceSpec:
                 f"moment of inertia {self.moment_of_inertia:.3g} kg m^2 is more than "
                 f"an order of magnitude away from the rod estimate {rod:.3g}",
                 GeometryWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass __init__
             )
 
 
@@ -174,14 +173,6 @@ class GapState:
     @property
     def absolute_gap(self) -> float:
         return self.contact_offset - self.relative_position
-
-    def require_open(self) -> float:
-        d = self.absolute_gap
-        if d <= 0 or not math.isfinite(d):
-            raise DomainError(
-                f"absolute gap d = d0 - d_r = {d:.3g} m must be positive"
-            )
-        return d
 
 
 @dataclass(frozen=True)

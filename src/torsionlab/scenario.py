@@ -153,7 +153,7 @@ class Scenario:
             raise DomainError("budget.reference_distance must be positive")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
-        torsion_constant(self.instrument.fiber)  # finite values can still overflow D^4
+        torsion_constant(self.instrument.fiber)  # finite values can over- or underflow D^4
         travel = self.instrument.actuator.pzt_range
         for key, values in (("run.position", (self.run.position,)),
                             ("run.positions", self.run.positions)):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -216,6 +217,17 @@ class TestMichelson:
     def test_needs_input_or_synthetic(self, tmp_path):
         assert main(["michelson", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value,named", [("--noise", "-1", "noise rms"),
+                                                  ("--wavelength-nm", "0", "wavelength")])
+    def test_bad_synthetic_input_exits_2_without_warnings(self, tmp_path, capsys,
+                                                           flag, value, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["michelson", "--synthetic", flag, value, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert caught == []
+
 
 class TestSweep:
     CFG = (
@@ -327,6 +339,13 @@ class TestOutputDir:
         assert (tmp_path / "budget_out" / "budget.json").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "budget", "michelson", "sweep"])
+def test_format_is_a_simulate_option_only(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "json", "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+
+
 class TestBadInputExitCode:
     # Each case: extra arguments, scenario text, text the message must name.
     CASES = {
@@ -350,6 +369,9 @@ class TestBadInputExitCode:
             [], "actuator.pzt_range = 5 um\nrun.positions = 1 um, 6 um\n", "run.positions"),
         "overflowing_fiber_diameter": ([], "fiber.diameter = 1e100 m\n", "fiber.diameter"),
         "vanishing_fiber_diameter": ([], "fiber.diameter = 1e-30 m\n", "fiber.diameter"),
+        "underflowing_fiber_diameter": ([], "fiber.diameter = 1e-100 m\n", "fiber.diameter"),
+        "huge_moment_of_inertia": ([], "balance.moment_of_inertia = 1e12 kg.m2\n",
+                                   "balance.moment_of_inertia"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -9,12 +9,16 @@ from torsionlab import (
     ActuatorSpec,
     BalanceSpec,
     DetectorSpec,
+    ForceModelParams,
+    GapState,
     InstrumentSpec,
     PidConfig,
     PidState,
     feedback_torque,
     pid_step,
     run_null_measurement,
+    VoltageState,
+    control,
 )
 from torsionlab.errors import DomainError, InstabilityError
 
@@ -195,3 +199,53 @@ class TestPztRange:
         with pytest.raises(DomainError, match=r"outside \[0, 1\.5e-05\] m"):
             run_null_measurement(IDEAL, PID, 30.0, 0.05, forces=forces,
                                  gap=GapState(30e-6, d_r), pzt_jitter=jitter)
+
+
+class TestForceLawInTheKernel:
+    """The jittered kernel evaluates the hoisted force law, not total_force."""
+
+    # Every component is 0 N (V = V0, no patches), so the loop stays quiet while
+    # the 0.2 nm rms PZT jitter closes a 0.3 nm gap within a few dozen steps.
+    QUIET = ForceModelParams(voltages=VoltageState(applied=0.02, minimizing=0.02, patch_rms=0.0),
+                             components=frozenset({"electrostatic", "patch"}))
+    CLOSING = GapState(5e-6 + 0.3e-9, 5e-6)
+
+    @pytest.fixture
+    def no_total_force(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("total_force called in the loop")
+        monkeypatch.setattr(control, "total_force", forbidden)
+
+    def test_jittered_run_makes_no_total_force_calls(self, no_total_force):
+        forces = ForceModelParams(voltages=VoltageState(applied=0.1, minimizing=0.02),
+                                  v0_log_slope=5e-3, patch_exponent=2.7)
+        result = run_null_measurement(IDEAL, PID, 30.0, 0.05, forces=forces,
+                                      gap=GapState(10e-6, 5e-6), pzt_jitter=True, seed=3,
+                                      check_stability=False)
+        assert len(set(result.applied_force.tolist())) == len(result.applied_force)
+
+    def test_closed_gap_raises_the_scalar_loop_error_at_its_step(self, no_total_force):
+        from test_loop_oracle import scalar_loop
+
+        settings = dict(forces=self.QUIET, gap=self.CLOSING, pzt_jitter=True, seed=11)
+        steps = []
+        with pytest.raises(DomainError) as oracle:
+            scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **settings)
+        assert 0 < len(steps) < 600
+        with pytest.raises(DomainError) as kernel:
+            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False, **settings)
+        assert str(kernel.value) == str(oracle.value)
+        assert str(kernel.value).startswith("absolute gap d = d0 - d_r = -")
+
+    def test_closed_gap_ends_the_run_at_the_scalar_loop_step(self):
+        from test_loop_oracle import scalar_loop
+
+        settings = dict(forces=self.QUIET, gap=self.CLOSING, pzt_jitter=True, seed=11)
+        steps, rows = [], []
+        with pytest.raises(DomainError):
+            scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **settings)
+        with pytest.raises(DomainError):
+            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False,
+                                 on_row=rows.append, **settings)
+        assert len(rows) == len(steps)
+        assert set(rows[0].forces) == {"electrostatic", "patch"}

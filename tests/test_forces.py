@@ -1,11 +1,14 @@
 """Force-model tests against independently computed reference values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionlab import (
+    SPHERE_PRESETS,
     FiberSpec,
     ForceModelParams,
     GapState,
@@ -15,10 +18,12 @@ from torsionlab import (
     casimir_force_thermal,
     electrostatic_force_exact,
     electrostatic_force_pfa,
+    force_law,
     patch_force,
     torsion_constant,
     total_force,
 )
+from torsionlab.forces import COMPONENTS
 from torsionlab.errors import DomainError, PfaValidityWarning
 
 EPS0 = 8.8541878128e-12
@@ -76,6 +81,21 @@ class TestTorsionConstant:
 
         with pytest.warns(GeometryWarning):
             BalanceSpec(moment_of_inertia=1.0)
+
+    def test_underflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="underflows to 0 for fiber.diameter"):
+            torsion_constant(FiberSpec(1.8e11, 1e-100, 0.20))  # D**4 is 0.0
+
+    def test_geometry_warnings_point_at_the_caller(self):
+        # not at the generated dataclass __init__, which reports "<string>"
+        from torsionlab import BalanceSpec
+        from torsionlab.errors import GeometryWarning
+
+        with pytest.warns(GeometryWarning) as fat:
+            FiberSpec(1.8e11, 3e-3, 0.20)
+        with pytest.warns(GeometryWarning) as odd:
+            BalanceSpec(moment_of_inertia=1.0)
+        assert [fat[0].filename, odd[0].filename] == [__file__, __file__]
 
 
 def test_constants_reference_table():
@@ -299,3 +319,54 @@ class TestTotalForce:
         b = total_force(params, self.GAP)
         assert a.total == b.total
         assert a.components == b.components
+
+
+def _evaluate(evaluate):
+    """evaluate()'s value, or its DomainError text, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = evaluate()
+        except DomainError as exc:
+            value = str(exc)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    components=st.sets(st.sampled_from(COMPONENTS)),
+    sphere=st.sampled_from(sorted(SPHERE_PRESETS)),
+    applied=st.floats(-1.0, 1.0),
+    minimizing=st.floats(-1.0, 1.0),
+    patch_rms=st.floats(0.0, 0.05),
+    v0_log_slope=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+    patch_exponent=st.floats(1.0, 4.0),
+    log10_gap=st.floats(-9.0, -3.0),
+)
+def test_force_law_is_total_force_bit_for_bit(components, sphere, applied, minimizing,
+                                              patch_rms, v0_log_slope, patch_exponent,
+                                              log10_gap):
+    # gaps log-spaced from 1 nm to 1 mm; the small presets take d/R past 0.1,
+    # where both must raise the same PfaValidityWarning
+    params = ForceModelParams(
+        sphere=SPHERE_PRESETS[sphere],
+        voltages=VoltageState(applied=applied, minimizing=minimizing, patch_rms=patch_rms),
+        components=frozenset(components),
+        patch_exponent=patch_exponent,
+        v0_log_slope=v0_log_slope,
+    )
+    d = 10.0 ** log10_gap
+    law, law_warnings = _evaluate(lambda: force_law(params)(d))
+    total, total_warnings = _evaluate(lambda: total_force(params, GapState(d, 0.0)).total)
+    assert law == total  # floats compared exactly
+    assert law_warnings == total_warnings
+
+
+@pytest.mark.parametrize("d", [0.0, -1e-9, math.inf, math.nan])
+def test_force_law_rejects_a_closed_gap_as_total_force_does(d):
+    params = _params(COMPONENTS)
+    with pytest.raises(DomainError) as law:
+        force_law(params)(d)
+    with pytest.raises(DomainError) as total:
+        total_force(params, GapState(d, 0.0))
+    assert str(law.value) == str(total.value)
