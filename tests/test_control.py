@@ -14,13 +14,14 @@ from torsionlab import (
     InstrumentSpec,
     PidConfig,
     PidState,
+    VoltageState,
+    control,
     feedback_torque,
     pid_step,
     run_null_measurement,
-    VoltageState,
-    control,
 )
 from torsionlab.errors import DomainError, InstabilityError
+from test_loop_oracle import scalar_loop
 
 EPS0 = 8.8541878128e-12
 
@@ -206,9 +207,12 @@ class TestForceLawInTheKernel:
 
     # Every component is 0 N (V = V0, no patches), so the loop stays quiet while
     # the 0.2 nm rms PZT jitter closes a 0.3 nm gap within a few dozen steps.
-    QUIET = ForceModelParams(voltages=VoltageState(applied=0.02, minimizing=0.02, patch_rms=0.0),
-                             components=frozenset({"electrostatic", "patch"}))
-    CLOSING = GapState(5e-6 + 0.3e-9, 5e-6)
+    CLOSING = dict(
+        forces=ForceModelParams(
+            voltages=VoltageState(applied=0.02, minimizing=0.02, patch_rms=0.0),
+            components=frozenset({"electrostatic", "patch"})),
+        gap=GapState(5e-6 + 0.3e-9, 5e-6), pzt_jitter=True, seed=11,
+    )
 
     @pytest.fixture
     def no_total_force(self, monkeypatch):
@@ -224,28 +228,22 @@ class TestForceLawInTheKernel:
                                       check_stability=False)
         assert len(set(result.applied_force.tolist())) == len(result.applied_force)
 
-    def test_closed_gap_raises_the_scalar_loop_error_at_its_step(self, no_total_force):
-        from test_loop_oracle import scalar_loop
-
-        settings = dict(forces=self.QUIET, gap=self.CLOSING, pzt_jitter=True, seed=11)
+    def test_closed_gap_raises_the_scalar_loop_error(self, no_total_force):
         steps = []
         with pytest.raises(DomainError) as oracle:
-            scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **settings)
+            scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **self.CLOSING)
         assert 0 < len(steps) < 600
         with pytest.raises(DomainError) as kernel:
-            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False, **settings)
+            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False, **self.CLOSING)
         assert str(kernel.value) == str(oracle.value)
         assert str(kernel.value).startswith("absolute gap d = d0 - d_r = -")
 
     def test_closed_gap_ends_the_run_at_the_scalar_loop_step(self):
-        from test_loop_oracle import scalar_loop
-
-        settings = dict(forces=self.QUIET, gap=self.CLOSING, pzt_jitter=True, seed=11)
         steps, rows = [], []
         with pytest.raises(DomainError):
-            scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **settings)
+            scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **self.CLOSING)
         with pytest.raises(DomainError):
             run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False,
-                                 on_row=rows.append, **settings)
+                                 on_row=rows.append, **self.CLOSING)
         assert len(rows) == len(steps)
         assert set(rows[0].forces) == {"electrostatic", "patch"}

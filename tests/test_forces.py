@@ -23,8 +23,8 @@ from torsionlab import (
     torsion_constant,
     total_force,
 )
-from torsionlab.forces import COMPONENTS
 from torsionlab.errors import DomainError, PfaValidityWarning
+from torsionlab.forces import COMPONENTS
 
 EPS0 = 8.8541878128e-12
 
@@ -322,13 +322,10 @@ class TestTotalForce:
 
 
 def _evaluate(evaluate):
-    """evaluate()'s value, or its DomainError text, and the warnings it raised."""
+    """evaluate()'s value and the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            value = evaluate()
-        except DomainError as exc:
-            value = str(exc)
+        value = evaluate()
     return value, [(w.category, str(w.message)) for w in caught]
 
 
