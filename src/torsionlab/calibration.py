@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CONSTANTS
-from .control import PidConfig, _closed_loop, _prepare, _Run
+from .control import _closed_loop, _prepare, _Run
 from .errors import (
     ConvergenceError,
     DegenerateSweepError,
@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
 )
 from .forces import ForceModelParams
-from .instrument import GapState, InstrumentSpec
+from .instrument import GapState, InstrumentSpec, PidConfig
 
 __all__ = [
     "VoltageSweep",

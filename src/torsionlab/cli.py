@@ -3,6 +3,9 @@
 Subcommands: simulate | calibrate | budget | michelson | sweep.
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 feedback instability, 1 unexpected failure.
+
+Only the commands that step or fit import numpy, ``control`` and
+``calibration``, so ``budget`` starts without them.
 """
 
 from __future__ import annotations
@@ -13,17 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .calibration import (
-    calibrate_sweeps,
-    michelson_calibrate,
-    michelson_trace_from_csv,
-    run_electrostatic_calibration,
-    sweeps_from_csv,
-    synthetic_michelson_trace,
-)
-from .control import run_null_measurement, stability_precheck
 from .errors import ConfigError, DomainError, InstabilityError, NumericalError, TorsionLabError
 from .instrument import GapState
 from .manifest import build_manifest, utc_now, write_manifest
@@ -54,6 +46,10 @@ FIT_COLUMNS = {
     "rms_residual_V": "rms_residual",
 }
 POSITION_COLUMNS = ("d_r_m", *FIT_COLUMNS, "failed")
+
+# Rows of the loop record formatted at a time: whole columns of repr strings
+# would add about 14 MB to a 30,000-step simulate's peak memory.
+CSV_BLOCK_ROWS = 4096
 
 
 def _load(args) -> Scenario:
@@ -108,6 +104,7 @@ def _command(name: str):
 
 def _run_simulation(scenario: Scenario, position: float | None = None,
                     applied_force: float | None = None, check_stability: bool = True):
+    from .control import run_null_measurement
     run = scenario.run
     forces = scenario.forces if scenario.forces.components else None
     gap = None if forces is None else GapState(
@@ -131,21 +128,27 @@ def _run_simulation(scenario: Scenario, position: float | None = None,
     )
 
 
-def _loop_rows(result):
-    """The loop record row by row, as Python floats in LOOP_COLUMNS order."""
-    columns = [getattr(result, attr) for attr in LOOP_COLUMNS.values()]
-    return (map(float, row) for row in zip(*columns))
+def _loop_columns(result, start: int = 0, stop: int | None = None) -> list:
+    """Rows [start, stop) of the loop record: a list of Python floats per LOOP_COLUMNS column."""
+    return [getattr(result, attr)[start:stop].tolist() for attr in LOOP_COLUMNS.values()]
 
 
 def write_loop_csv(result, path: Path) -> Path:
-    return _write_csv(path, LOOP_COLUMNS, _loop_rows(result))
+    """_write_csv's bytes, formatted a column at a time in blocks of rows that bound memory."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(LOOP_COLUMNS) + "\n")
+        for start in range(0, len(result.t), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            cells = [map(repr, column) for column in _loop_columns(result, start, stop)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return path
 
 
 @_command("simulate")
 def cmd_simulate(args, scenario, out):
     result = _run_simulation(scenario)
     if args.format == "json":
-        rows = [dict(zip(LOOP_COLUMNS, row)) for row in _loop_rows(result)]
+        rows = [dict(zip(LOOP_COLUMNS, row)) for row in zip(*_loop_columns(result))]
         series = _write_json(out / "timeseries.json", rows)
     else:
         series = write_loop_csv(result, out / "timeseries.csv")
@@ -169,6 +172,7 @@ def _position_row(p) -> dict:
 
 @_command("calibrate")
 def cmd_calibrate(args, scenario, out):
+    from .calibration import calibrate_sweeps, run_electrostatic_calibration, sweeps_from_csv
     if args.input:
         sweeps = sweeps_from_csv(args.input)
         result = calibrate_sweeps(sweeps, scenario.forces.sphere.radius)
@@ -264,6 +268,8 @@ def cmd_budget(args, scenario, out):
 
 @_command("michelson")
 def cmd_michelson(args, scenario, out):
+    from .calibration import (michelson_calibrate, michelson_trace_from_csv,
+                              synthetic_michelson_trace)
     if args.input:
         trace = michelson_trace_from_csv(args.input, wavelength=args.wavelength_nm * 1e-9)
     elif args.synthetic:
@@ -298,6 +304,7 @@ def cmd_michelson(args, scenario, out):
 
 
 def _sweep_point(payload) -> tuple:
+    import numpy as np
     scenario, axis, index, value = payload
     child_seed = np.random.SeedSequence([scenario.seed, index]).generate_state(1)[0]
     scenario = replace(scenario, seed=int(child_seed))
@@ -316,6 +323,7 @@ def cmd_sweep(args, scenario, out):
         key = "run.positions" if args.axis == "position" else "run.forces"
         raise ConfigError(f"sweep over {args.axis} needs {key} in the scenario")
     # The pre-check does not depend on the swept value: run it once here.
+    from .control import stability_precheck
     stability_precheck(scenario.instrument, scenario.pid, run.dt, scenario.actuator_mode)
     payloads = [(scenario, args.axis, i, v) for i, v in enumerate(values)]
     if args.workers > 1:

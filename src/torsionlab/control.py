@@ -21,7 +21,8 @@ from .constants import CONSTANTS
 from .dynamics import PlantParams, TraceRow, _propagator, _round_half_away, check_step
 from .errors import DomainError, InstabilityError
 from .forces import ForceModelParams, force_law, torsion_constant, total_force
-from .instrument import ActuatorSpec, BalanceSpec, GapState, InstrumentSpec
+from .instrument import (ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, InstrumentSpec,
+                         PidConfig)
 
 __all__ = [
     "PidConfig",
@@ -33,33 +34,11 @@ __all__ = [
     "run_null_measurement",
 ]
 
-ACTUATOR_MODES = ("linear", "quadratic")
-
 # Angle ceiling used by the divergence check, in units of delta_theta_min.
 DIVERGENCE_FACTOR = 100.0
 
 # Longest stability pre-check, in steps; the reference instrument needs 7,900.
 PRECHECK_MAX_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class PidConfig:
-    """Discrete PID gains mapping detector millivolts to output volts."""
-
-    kp: float = 0.5                  # V per mV
-    ki: float = 0.08                 # V per (mV s)
-    kd: float = 1.05                 # V s per mV
-    output_limit: float = 10.0      # |output| <= limit, V
-    integral_limit: float = 10.0    # anti-windup clamp on the I term, V
-    sample_interval: float = 0.05   # s
-
-    def __post_init__(self) -> None:
-        if self.sample_interval <= 0:
-            raise DomainError("controller sample interval must be positive")
-        if not (math.isfinite(self.output_limit) and math.isfinite(self.integral_limit)):
-            raise DomainError("controller limits must be finite")
-        if self.output_limit <= 0 or self.integral_limit <= 0:
-            raise DomainError("controller limits must be positive")
 
 
 @dataclass(frozen=True)

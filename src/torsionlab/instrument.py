@@ -6,6 +6,7 @@ and emit warnings for legal-but-suspicious combinations.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +22,8 @@ __all__ = [
     "GapState",
     "VoltageState",
     "SPHERE_PRESETS",
+    "PidConfig",
+    "ACTUATOR_MODES",
     "default_inertia",
 ]
 
@@ -66,7 +69,11 @@ class BalanceSpec:
             raise DomainError("balance mass, arms and pendulum length must be positive")
         if self.quality_factor <= 0:
             raise DomainError("quality factor must be positive")
-        rod = default_inertia(self.mass, self.casimir_arm)
+        try:
+            rod = default_inertia(self.mass, self.casimir_arm)
+        except OverflowError:  # (2 * casimir_arm)**2 beyond float range
+            raise DomainError(f"rod moment of inertia overflows for balance.casimir_arm = "
+                              f"{self.casimir_arm:.6g} m") from None
         if self.moment_of_inertia is None:
             object.__setattr__(self, "moment_of_inertia", rod)
         elif self.moment_of_inertia <= 0:
@@ -186,3 +193,26 @@ class VoltageState:
     def __post_init__(self) -> None:
         if self.patch_rms < 0:
             raise DomainError("patch rms voltage cannot be negative")
+
+
+ACTUATOR_MODES = ("linear", "quadratic")
+
+
+@dataclass(frozen=True)
+class PidConfig:
+    """Discrete PID gains mapping detector millivolts to output volts."""
+
+    kp: float = 0.5                  # V per mV
+    ki: float = 0.08                 # V per (mV s)
+    kd: float = 1.05                 # V s per mV
+    output_limit: float = 10.0      # |output| <= limit, V
+    integral_limit: float = 10.0    # anti-windup clamp on the I term, V
+    sample_interval: float = 0.05   # s
+
+    def __post_init__(self) -> None:
+        if self.sample_interval <= 0:
+            raise DomainError("controller sample interval must be positive")
+        if not (math.isfinite(self.output_limit) and math.isfinite(self.integral_limit)):
+            raise DomainError("controller limits must be finite")
+        if self.output_limit <= 0 or self.integral_limit <= 0:
+            raise DomainError("controller limits must be positive")

@@ -15,15 +15,16 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .control import ACTUATOR_MODES, PidConfig
 from .errors import ConfigError, DomainError
 from .forces import ForceModelParams, torsion_constant
 from .instrument import (
+    ACTUATOR_MODES,
     ActuatorSpec,
     BalanceSpec,
     DetectorSpec,
     FiberSpec,
     InstrumentSpec,
+    PidConfig,
     SPHERE_PRESETS,
     SphereSpec,
     VoltageState,

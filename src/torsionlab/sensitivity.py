@@ -162,10 +162,19 @@ def build_report(
     resolution = force_resolution_from_angle(alpha, delta_theta_min, balance.casimir_arm)
     jitter = instrument.actuator.pzt_accuracy
     R = forces.sphere.radius
-    floors = {
-        model: jitter_force_floor(model, R, reference_distance, jitter, forces)
-        for model in sorted(forces.components)
-    }
+    try:
+        floors = {
+            model: jitter_force_floor(model, R, reference_distance, jitter, forces)
+            for model in sorted(forces.components)
+        }
+        finite = all(map(math.isfinite, floors.values()))
+    except (OverflowError, ZeroDivisionError):  # a power of d or of V beyond float range
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"jitter force floors leave the float range at budget.reference_distance = "
+            f"{reference_distance:.6g} m (forces.patch_rms = {forces.voltages.patch_rms:.6g} V)"
+        ) from None
     d_max = None
     if "casimir_thermal" in forces.components:
         d_max = max_thermal_casimir_distance(R, T, resolution)

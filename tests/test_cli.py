@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -65,6 +66,27 @@ class TestSimulate:
                      "--format", "json"]) == EXIT_OK
         rows = json.loads((out / "timeseries.json").read_text())
         assert rows[0].keys() == {"t_s", "error_mV", "deltaV_V", "theta_rad", "F_ext_N"}
+
+    def test_loop_csv_blocks_keep_the_cell_writer_bytes(self, tmp_path, monkeypatch):
+        # A short last block, block edges, signed zeros and full-precision
+        # floats come out as _write_csv formats them one cell at a time.
+        rng = np.random.default_rng(3)
+        n = 30
+        columns = {
+            "t": np.arange(1, n + 1) * 0.05,
+            "error_mv": np.where(np.arange(n) % 3 == 0, -0.0, np.round(rng.normal(size=n), 1)),
+            "delta_v": rng.normal(scale=1e-2, size=n),
+            "theta": rng.normal(scale=1e-9, size=n),
+            "applied_force": np.full(n, 1e-10) + rng.normal(scale=1e-13, size=n),
+        }
+        result = SimpleNamespace(**columns)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        cli.write_loop_csv(result, tmp_path / "blocks.csv")
+        rows = (map(float, row) for row in zip(*(columns[a] for a in cli.LOOP_COLUMNS.values())))
+        cli._write_csv(tmp_path / "cells.csv", cli.LOOP_COLUMNS, rows)
+        text = (tmp_path / "blocks.csv").read_text()
+        assert text == (tmp_path / "cells.csv").read_text()
+        assert len(text.splitlines()) == n + 1 and ",-0.0," in text
 
     def test_unstable_gains_exit_code(self, tmp_path):
         cfg = _cfg(tmp_path, FAST_SIM + "control.kp = -0.5 V/mV\n")
@@ -380,4 +402,29 @@ class TestBadInputExitCode:
         cfg = _cfg(tmp_path, text)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
         assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+
+class TestBudgetBadInputExitCode:
+    # Each case: scenario text, key the message must name. The first four
+    # used to end in an OverflowError or ZeroDivisionError and exit 1.
+    CASES = {
+        "huge_reference_distance": ("budget.reference_distance = 1e300 m\n",
+                                    "budget.reference_distance"),
+        "tiny_reference_distance": ("budget.reference_distance = 1e-300 m\n",
+                                    "budget.reference_distance"),
+        "huge_casimir_arm": ("balance.casimir_arm = 1e300 m\n", "balance.casimir_arm"),
+        "huge_patch_rms": ("forces.patch_rms = 1e300 V\n", "forces.patch_rms"),
+        # no exception here: products overflow to inf, which budget.json
+        # would hold as the non-standard JSON token Infinity
+        "infinite_floors": ("forces.patch_rms = 1e150 V\nbudget.reference_distance = 1e-90 m\n",
+                            "budget.reference_distance"),
+    }
+
+    @pytest.mark.filterwarnings("ignore::torsionlab.errors.PfaValidityWarning")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_and_names_the_key(self, tmp_path, capsys, case):
+        text, key = self.CASES[case]
+        cfg = _cfg(tmp_path, text)
+        assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err

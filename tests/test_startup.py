@@ -1,12 +1,13 @@
 """Cold-start guard: the CLI's common commands load neither scipy nor the
-process pool.
+process pool, and the math-only paths load no numpy.
 
 Every command is a fresh process, so an import on the CLI's path is paid
 on every run. Only ``michelson`` (``curve_fit``) and
 ``decompose_residual(nonnegative=True)`` (``nnls``) need scipy, and only
-``sweep --workers N>1`` needs ``concurrent.futures.process``. Each check
-runs in a new interpreter, because this test process may already hold
-those modules.
+``sweep --workers N>1`` needs ``concurrent.futures.process``. ``import
+torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
+on ``math`` alone. Each check runs in a new interpreter, because this test
+process may already hold those modules.
 """
 
 import json
@@ -38,6 +39,14 @@ def _fresh(code, cwd):
 
 def _heavy_modules_after(code, cwd):
     return json.loads(_fresh(code + REPORT, cwd).splitlines()[-1])
+
+
+def _numpy_and_submodules_after(code, cwd):
+    """Whether numpy is loaded after ``code``, and the torsionlab submodules that are."""
+    report = ("import json, sys\n"
+              "print(json.dumps(['numpy' in sys.modules,"
+              " sorted(m for m in sys.modules if m.startswith('torsionlab.'))]))\n")
+    return json.loads(_fresh(code + report, cwd).splitlines()[-1])
 
 
 def _cli_run(*argv):
@@ -80,3 +89,77 @@ def test_nonnegative_decomposition_in_a_fresh_interpreter(tmp_path):
         tmp_path,
     )
     assert out.split() == ["True", "True", "True"]
+
+
+# The names the package exported when it imported every submodule eagerly.
+EXPORTS = {
+    "ActuatorSpec", "BalanceSpec", "CONSTANTS", "CalibrationResult", "ConfigError",
+    "DetectorSpec", "DomainError", "FiberSpec", "ForceBreakdown", "ForceModelParams", "GapState",
+    "InstabilityError", "InstrumentSpec", "MichelsonCalibration", "MichelsonTrace",
+    "NullMeasurementResult", "NumericalError", "ParabolaFit", "PhysicalConstants", "PidConfig",
+    "PidState", "PlantParams", "ResidualDecomposition", "RunSchedule", "SPHERE_PRESETS",
+    "Scenario", "SchemaError", "SensitivityReport", "SimState", "SphereSpec", "TorsionLabError",
+    "TraceRow", "VoltageState", "VoltageSweep", "build_report", "calibrate_sweeps",
+    "casimir_force_ideal", "casimir_force_thermal", "constants_table", "contact_point_fit",
+    "decompose_residual", "detector_read", "electrostatic_force_exact",
+    "electrostatic_force_pfa", "feedback_torque", "force_law", "force_resolution_from_angle",
+    "jitter_force_floor", "load_scenario", "max_thermal_casimir_distance",
+    "michelson_calibrate", "natural_frequency", "parabola_fit", "parse_scenario_text",
+    "patch_force", "pid_step", "pzt_actual_position", "run_electrostatic_calibration",
+    "run_langevin", "run_null_measurement", "scenario_hash", "step", "swing_angle_noise",
+    "synthetic_michelson_trace", "thermal_angle_noise", "thermal_torque_sample",
+    "torsion_constant", "total_force",
+}
+
+
+def test_import_loads_no_submodule_and_no_numpy(tmp_path):
+    assert _numpy_and_submodules_after("import torsionlab\n", tmp_path) == [False, []]
+
+
+def test_load_scenario_loads_no_numpy(tmp_path):
+    (tmp_path / "s.cfg").write_text("run.duration = 20 s\ncontrol.kp = 0.4 V/mV\n")
+    code = "import torsionlab\nassert torsionlab.load_scenario('s.cfg').pid.kp == 0.4\n"
+    numpy, modules = _numpy_and_submodules_after(code, tmp_path)
+    assert not numpy
+    assert "torsionlab.control" not in modules  # PidConfig lives in instrument
+
+
+def test_budget_loads_no_numpy(tmp_path):
+    numpy, modules = _numpy_and_submodules_after(_cli_run("budget", "--out", "out"), tmp_path)
+    assert not numpy
+    assert not {"torsionlab.calibration", "torsionlab.control", "torsionlab.dynamics"} & {*modules}
+    assert (tmp_path / "out" / "budget.json").exists()
+
+
+def test_unknown_attribute_raises_without_loading_anything(tmp_path):
+    code = (
+        "import torsionlab\n"
+        "try:\n"
+        "    torsionlab.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    )
+    assert _numpy_and_submodules_after(code, tmp_path) == [False, []]
+
+
+def test_exports_are_unchanged():
+    assert set(torsionlab.__all__) == EXPORTS
+    assert len(torsionlab.__all__) == len(EXPORTS)
+
+
+def test_every_export_resolves_and_star_import_works():
+    namespace = {}
+    exec("from torsionlab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTS
+    assert all(getattr(torsionlab, name) is namespace[name] for name in EXPORTS)
+    assert set(dir(torsionlab)) >= EXPORTS
+
+
+def test_submodules_and_moved_names_resolve():
+    from torsionlab import control, instrument, scenario
+
+    assert torsionlab.control is control
+    assert torsionlab.PidConfig is control.PidConfig is instrument.PidConfig
+    assert scenario.ACTUATOR_MODES is control.ACTUATOR_MODES is instrument.ACTUATOR_MODES
