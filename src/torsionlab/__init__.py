@@ -18,13 +18,12 @@ _EXPORTS = {
     name: module
     for module, names in {
         "constants": "CONSTANTS PhysicalConstants constants_table",
-        "control": "NullMeasurementResult PidState feedback_torque pid_step run_null_measurement",
+        "control": "NullMeasurementResult run_null_measurement",
         "calibration": "CalibrationResult MichelsonCalibration MichelsonTrace ParabolaFit "
                        "ResidualDecomposition VoltageSweep calibrate_sweeps contact_point_fit "
                        "decompose_residual michelson_calibrate parabola_fit "
                        "run_electrostatic_calibration synthetic_michelson_trace",
-        "dynamics": "PlantParams SimState TraceRow detector_read natural_frequency "
-                    "pzt_actual_position run_langevin step thermal_torque_sample",
+        "dynamics": "PlantParams natural_frequency run_langevin",
         "errors": "ConfigError DomainError InstabilityError NumericalError SchemaError "
                   "TorsionLabError",
         "forces": "ForceBreakdown ForceModelParams casimir_force_ideal casimir_force_thermal "

@@ -164,7 +164,7 @@ def cmd_simulate(args, scenario, out):
             f"steady deltaV = {result.steady_delta_v:.6g} V over {len(result.t)} samples")
 
 
-def _position_row(p) -> dict:
+def _position_record(p) -> dict:
     """One position's fit, keyed by POSITION_COLUMNS plus its error message."""
     fit = {col: None if p.failed else getattr(p.fit, attr) for col, attr in FIT_COLUMNS.items()}
     return {"d_r_m": p.d_r, **fit, "failed": p.failed, "error": p.error}
@@ -198,7 +198,7 @@ def cmd_calibrate(args, scenario, out):
             seed=scenario.seed,
             delta_theta_min=run.delta_theta_min,
         )
-    rows = [_position_row(p) for p in result.positions]
+    rows = [_position_record(p) for p in result.positions]
     report = {
         "d0_m": result.d0,
         "beta_N_per_V": result.beta,

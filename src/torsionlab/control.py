@@ -18,18 +18,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS
-from .dynamics import PlantParams, TraceRow, _propagator, _round_half_away, check_step
+from .dynamics import PlantParams, _propagator, _round_half_away, check_step
 from .errors import DomainError, InstabilityError
-from .forces import ForceModelParams, force_law, torsion_constant, total_force
+from .forces import ForceModelParams, force_law, torsion_constant
 from .instrument import (ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, InstrumentSpec,
                          PidConfig)
 
 __all__ = [
     "PidConfig",
-    "PidState",
     "NullMeasurementResult",
-    "pid_step",
-    "feedback_torque",
     "stability_precheck",
     "run_null_measurement",
 ]
@@ -37,47 +34,14 @@ __all__ = [
 # Angle ceiling used by the divergence check, in units of delta_theta_min.
 DIVERGENCE_FACTOR = 100.0
 
-# Longest stability pre-check, in steps; the reference instrument needs 7,900.
-PRECHECK_MAX_STEPS = 1_000_000
+# Longest run and longest stability pre-check, in steps; the reference
+# instrument's pre-check needs 7,900.
+MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class PidState:
-    """Controller memory between samples."""
-
-    integral: float = 0.0            # accumulated I term, V
-    prev_error: float = 0.0          # mV
-    saturated: bool = False
-
-
-def pid_step(
-    cfg: PidConfig, state: PidState, error: float, dt: float
-) -> tuple[float, PidState]:
-    """One controller update; returns (output volts, new state).
-
-    Derivative acts on the measured signal (identical to derivative on
-    error for the fixed zero setpoint of a null measurement), and the
-    integral term is clamped so saturation cannot wind it up.
-    """
-    if dt <= 0:
-        raise DomainError("controller step must be positive")
-    integral = state.integral + cfg.ki * error * dt
-    integral = min(max(integral, -cfg.integral_limit), cfg.integral_limit)
-    derivative = (error - state.prev_error) / dt
-    output = cfg.kp * error + integral + cfg.kd * derivative
-    saturated = abs(output) > cfg.output_limit
-    if saturated:
-        output = math.copysign(cfg.output_limit, output)
-    return output, PidState(integral=integral, prev_error=error, saturated=saturated)
-
-
-def feedback_torque(
-    delta_v: float,
-    spec: ActuatorSpec,
-    balance: BalanceSpec,
-    mode: str = "linear",
-) -> float:
-    """Restoring torque produced by the feedback plates for an output δV.
+def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
+                  square=lambda x: x ** 2):
+    """Restoring torque of the feedback plates as a function of the output δV alone.
 
     Quadratic mode is the physical parallel-plate force around the bias,
     referenced so δV = 0 gives zero torque:
@@ -85,18 +49,17 @@ def feedback_torque(
         tau = eps0 A [(bias + δV)^2 - bias^2] / (2 gap^2) * r_fb
 
     Linear mode is its small-signal slope eps0 A bias δV / gap^2 * r_fb.
+    The plate constants are hoisted out of the returned function.
     """
-    return _feedback_law(spec, balance, mode)(delta_v)
-
-
-def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
-                  square=lambda x: x ** 2):
-    """feedback_torque as a function of δV alone, with the plate constants hoisted."""
     if spec.fb_gap <= 0:
         raise DomainError("feedback-plate gap must be positive")
     if mode not in ACTUATOR_MODES:
         raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
-    scale = CONSTANTS.eps0 * spec.fb_plate_area / spec.fb_gap**2
+    try:
+        scale = CONSTANTS.eps0 * spec.fb_plate_area / spec.fb_gap**2
+    except (OverflowError, ZeroDivisionError):  # fb_gap**2 beyond float range
+        raise DomainError(f"feedback-plate constant eps0 * A / gap^2 leaves the float range "
+                          f"for actuator.fb_gap = {spec.fb_gap:.6g} m") from None
     arm = balance.feedback_arm
     if mode == "linear":
         gain = scale * spec.fb_bias
@@ -108,7 +71,7 @@ def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
 # Per-step helpers of the closed-loop kernel, picked once per call by batch
 # size: Python floats for one run (5x faster than numpy on 1-element arrays),
 # numpy arrays for a batch. Both give the same bits. Squares go through
-# libm's pow, as feedback_torque always has; numpy's x ** 2 is x * x, which
+# libm's pow, as the scalar feedback torque always has; numpy's x ** 2 is x * x, which
 # differs from pow in the last bit for some x.
 _FLOAT_OPS = (
     _round_half_away,
@@ -157,12 +120,11 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     then thermal), so a run gives the same bits alone or in a batch. Runs
     differ only in load, seed and label, and either all have a gap or none
     has; a gap outside the PZT travel [0, pzt_range] raises DomainError with
-    or without jitter. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, None)``
+    or without jitter. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext)``
     sees every step: floats for one run, arrays for a batch. The loop
-    evaluates each run's ``forces.force_law`` for the total only; a caller
-    that needs the breakdown evaluates total_force at d_r. |theta| over
-    1 rad, or over 100x ``delta_theta_min`` after the first third, raises
-    InstabilityError naming the run.
+    evaluates each run's ``forces.force_law``, which gives the total force
+    only. |theta| over 1 rad, or over 100x ``delta_theta_min`` after the
+    first third, raises InstabilityError naming the run.
     Returns each run's steady readout, the mean δV over the final third.
     """
     check_step(plant, dt)
@@ -229,7 +191,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
         if k >= start:
             steady[:, k - start] = delta_v
         if emit is not None:
-            emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, None)
+            emit(k, t, reading, delta_v, theta, omega, d_r, f_ext)
         limit = 1.0 if k <= settle_end else late
         if not peak(theta) <= limit:
             thetas = np.abs(np.atleast_1d(theta))
@@ -263,10 +225,10 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
     plant = PlantParams(balance=instrument.balance, stiffness=alpha)
     check_step(plant, dt)
     n = int(round(6.0 * plant.period / dt))
-    if n > PRECHECK_MAX_STEPS:
+    if n > MAX_STEPS:
         raise DomainError(
             f"stability pre-check of six natural periods ({plant.period:.3g} s each) at "
-            f"run.dt = {dt:.3g} s needs {n:.3g} steps, over the cap of {PRECHECK_MAX_STEPS}; "
+            f"run.dt = {dt:.3g} s needs {n:.3g} steps, over the cap of {MAX_STEPS}; "
             f"check fiber.diameter and balance.moment_of_inertia, which set the period, "
             f"or raise run.dt"
         )
@@ -319,11 +281,16 @@ def _prepare(instrument, pid, duration, dt, *, stiffness=None, temperature, ther
     alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
     plant = PlantParams(balance=instrument.balance, stiffness=alpha,
                         temperature=temperature, thermal_noise=thermal_noise)
-    if check_stability:
-        stability_precheck(instrument, pid, dt, actuator_mode, alpha)
+    if not duration / dt <= MAX_STEPS:  # checked before anything is allocated
+        raise DomainError(
+            f"run.duration = {duration:.6g} s at run.dt = {dt:.6g} s needs {duration / dt:.3g} "
+            f"steps, over the cap of {MAX_STEPS}; shorten run.duration or raise run.dt"
+        )
     n = int(round(duration / dt))
     if n < 10:
         raise DomainError("duration must cover at least 10 steps")
+    if check_stability:
+        stability_precheck(instrument, pid, dt, actuator_mode, alpha)
     return plant, n, _sample_steps(pid, dt)
 
 
@@ -344,7 +311,6 @@ def run_null_measurement(
     seed: int = 0,
     check_stability: bool = True,
     delta_theta_min: float = 1e-7,
-    on_row=None,
 ) -> NullMeasurementResult:
     """Run the closed loop for ``duration`` seconds and return the record.
 
@@ -363,12 +329,8 @@ def run_null_measurement(
     )
     t_col, err_col, dv_col, th_col, f_col = np.empty((5, n))
 
-    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, _):
+    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext):
         t_col[k], err_col[k], dv_col[k], th_col[k], f_col[k] = t, reading, delta_v, theta, f_ext
-        if on_row is not None:
-            on_row(TraceRow(t=t, theta=theta, omega=omega, d_r=d_r, reading_mv=reading,
-                            forces={} if forces is None else total_force(
-                                forces, GapState(gap.contact_offset, d_r)).components))
 
     (steady,) = _closed_loop(
         instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],

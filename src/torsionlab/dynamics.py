@@ -1,4 +1,4 @@
-"""Time-domain plant model: torsion pendulum, thermal torque, PZT, detector.
+"""Time-domain plant model: the torsion pendulum and its thermal torque.
 
 The equation of motion is
 
@@ -10,7 +10,8 @@ step, so the noiseless undamped oscillator conserves energy to rounding
 and the damped solution matches the analytic envelope exactly. Thermal
 torque follows the fluctuation-dissipation theorem: a zero-mean Gaussian
 sample of variance 2 k_b T gamma / dt per step, which reproduces
-equipartition <theta^2> = k_b T / alpha.
+equipartition <theta^2> = k_b T / alpha. The closed loop in ``control``
+and the open-loop ``run_langevin`` both step through ``_propagator``.
 """
 
 from __future__ import annotations
@@ -18,25 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .constants import CONSTANTS
 from .errors import DomainError
-from .instrument import ActuatorSpec, BalanceSpec, DetectorSpec
+from .instrument import BalanceSpec
 
 __all__ = [
     "PlantParams",
-    "SimState",
-    "TraceRow",
     "natural_frequency",
-    "thermal_torque_sample",
-    "step",
     "check_step",
-    "pzt_actual_position",
-    "PztReading",
-    "detector_read",
     "run_langevin",
 ]
 
@@ -63,32 +56,13 @@ def _damping_coefficient(balance: BalanceSpec, alpha: float) -> float:
     )
 
 
-def thermal_torque_sample(
-    balance: BalanceSpec, alpha: float, T: float, dt: float, rng: np.random.Generator
-) -> float:
-    """One fluctuation-dissipation torque sample for a step of length dt.
-
-    Zero-mean Gaussian with variance 2 k_b T gamma / dt. T = 0 is allowed
-    and returns exactly zero (the rng is not advanced in that case).
-    """
-    if T < 0:
-        raise DomainError("temperature cannot be negative")
-    if dt <= 0:
-        raise DomainError("time step must be positive")
-    gamma = _damping_coefficient(balance, alpha)
-    if T == 0.0 or gamma == 0.0:
-        return 0.0
-    sigma = math.sqrt(2.0 * CONSTANTS.k_b * T * gamma / dt)
-    return sigma * rng.standard_normal()
-
-
 @dataclass(frozen=True)
 class PlantParams:
     """Reduced mechanical plant used by the stepper.
 
     ``stiffness`` defaults to the fiber value via torsion_constant; tests
     may pin it directly. thermal_noise controls whether stepping draws
-    fluctuation-dissipation torque samples from the state rng.
+    fluctuation-dissipation torque samples from the run's rng.
     """
 
     balance: BalanceSpec = field(default_factory=BalanceSpec)
@@ -125,34 +99,6 @@ class PlantParams:
         if not self.thermal_noise or self.temperature == 0.0 or gamma == 0.0:
             return 0.0
         return math.sqrt(2.0 * CONSTANTS.k_b * self.temperature * gamma / dt)
-
-
-@dataclass
-class SimState:
-    """Mutable per-run state. A run owns its state exclusively."""
-
-    theta: float = 0.0               # rad
-    omega: float = 0.0               # rad/s
-    t: float = 0.0                   # s
-    pzt_command: float = 0.0         # m, commanded d_r
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0)
-    )
-
-    @classmethod
-    def seeded(cls, seed: int, **kwargs) -> "SimState":
-        return cls(rng=np.random.default_rng(seed), **kwargs)
-
-
-class TraceRow(NamedTuple):
-    """One emitted time-series sample."""
-
-    t: float
-    theta: float
-    omega: float
-    d_r: float
-    reading_mv: float
-    forces: dict
 
 
 @lru_cache(maxsize=64)
@@ -192,67 +138,9 @@ def check_step(plant: PlantParams, dt: float) -> None:
         )
 
 
-def step(state: SimState, plant: PlantParams, external_torque: float, dt: float) -> SimState:
-    """Advance the pendulum by one fixed step of length dt (in place).
-
-    The torque (external plus, if enabled, a fresh thermal sample from
-    the state rng) is held constant over the step and the linear system
-    is propagated exactly.
-    """
-    check_step(plant, dt)
-    tau = external_torque
-    if plant.thermal_noise:
-        tau += thermal_torque_sample(
-            plant.balance, plant.stiffness, plant.temperature, dt, state.rng
-        )
-    axx, axv, avx, avv = _propagator(
-        plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt
-    )
-    x_eq = tau / plant.stiffness
-    x = state.theta - x_eq
-    state.theta = x_eq + axx * x + axv * state.omega
-    state.omega = avx * x + avv * state.omega
-    state.t += dt
-    return state
-
-
-class PztReading(NamedTuple):
-    position: float                  # m
-    saturated: bool
-
-
-def pzt_actual_position(
-    command: float, spec: ActuatorSpec, rng: np.random.Generator
-) -> PztReading:
-    """Realized PZT position: the command plus Gaussian closed-loop jitter.
-
-    Commands beyond the travel range are clamped and flagged.
-    """
-    saturated = False
-    if not 0.0 <= command <= spec.pzt_range:
-        command = min(max(command, 0.0), spec.pzt_range)
-        saturated = True
-    position = command
-    if spec.pzt_accuracy > 0.0:
-        position += spec.pzt_accuracy * rng.standard_normal()
-    return PztReading(position, saturated)
-
-
 def _round_half_away(x: float) -> float:
+    """Round to the nearest integer, ties away from zero (the detector's quantizer)."""
     return math.copysign(math.floor(abs(x) + 0.5), x)
-
-
-def detector_read(theta: float, spec: DetectorSpec) -> float:
-    """Optical-lever reading in mV for a balance angle in rad.
-
-    The raw reading sensitivity * theta is quantized to the detector step
-    with round-half-away-from-zero, so e.g. a 0.05 mV raw signal at a
-    0.1 mV step already registers as one full step.
-    """
-    reading = spec.sensitivity * theta * 1e6  # mV/urad * urad
-    if spec.quantization > 0.0:
-        reading = spec.quantization * _round_half_away(reading / spec.quantization)
-    return reading
 
 
 def run_langevin(

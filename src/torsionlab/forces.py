@@ -175,7 +175,13 @@ def _patch_law(R: float, V_patch: float, n: float):
         raise DomainError(f"patch exponent n = {n!r} must lie in [1, 4]")
     if V_patch < 0:
         raise DomainError("patch rms voltage cannot be negative")
-    k = math.pi * R * CONSTANTS.eps0 * V_patch**2 * PATCH_REFERENCE_DISTANCE ** (n - 1.0)
+    try:
+        k = math.pi * R * CONSTANTS.eps0 * V_patch**2 * PATCH_REFERENCE_DISTANCE ** (n - 1.0)
+    except OverflowError:  # V_patch**2 beyond float range
+        k = math.inf
+    if not math.isfinite(k):
+        raise DomainError(f"patch force constant pi * R * eps0 * V_patch^2 leaves the float "
+                          f"range for forces.patch_rms = {V_patch:.6g} V")
     return lambda d, k=k, n=n: k / d**n
 
 

@@ -394,6 +394,13 @@ class TestBadInputExitCode:
         "underflowing_fiber_diameter": ([], "fiber.diameter = 1e-100 m\n", "fiber.diameter"),
         "huge_moment_of_inertia": ([], "balance.moment_of_inertia = 1e12 kg.m2\n",
                                    "balance.moment_of_inertia"),
+        # fb_gap**2 underflows to 0 (ZeroDivisionError) or overflows
+        "tiny_fb_gap": ([], "actuator.fb_gap = 1e-300 m\n", "actuator.fb_gap"),
+        "huge_fb_gap": ([], "actuator.fb_gap = 1e300 m\n", "actuator.fb_gap"),
+        "huge_patch_rms": ([], "forces.patch_rms = 1e300 V\n", "forces.patch_rms"),
+        # step counts past the cap: an array too large to index, or 74.5 GiB
+        "huge_duration": ([], "run.duration = 1e300 s\n", "run.duration"),
+        "long_duration": ([], "run.duration = 1e8 s\n", "run.duration"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

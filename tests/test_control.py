@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle import traced_run
 from torsionlab import (
     ActuatorSpec,
     BalanceSpec,
@@ -13,13 +14,10 @@ from torsionlab import (
     GapState,
     InstrumentSpec,
     PidConfig,
-    PidState,
     VoltageState,
-    control,
-    feedback_torque,
-    pid_step,
     run_null_measurement,
 )
+from torsionlab.control import _feedback_law
 from torsionlab.errors import DomainError, InstabilityError
 from test_loop_oracle import scalar_loop
 
@@ -34,42 +32,49 @@ BETA_TRUE = EPS0 * 1e-4 * 10.0 / 1e-3**2  # N per volt at the Casimir arm
 
 
 class TestPidStep:
+    """The controller update, seen in the kernel's error_mv and delta_v columns."""
+
     def test_zero_error_leaves_state_unchanged(self):
-        out, state = pid_step(PID, PidState(), 0.0, 0.1)
-        assert out == 0.0
-        assert state == PidState()
+        result = run_null_measurement(IDEAL, PID, 30.0, 0.05)
+        assert np.all(result.error_mv == 0.0)
+        assert np.all(result.delta_v == 0.0)
 
     def test_pure_proportional(self):
         cfg = PidConfig(kp=0.7, ki=0.0, kd=0.0)
-        out, _ = pid_step(cfg, PidState(), 3.0, 0.1)
-        assert out == pytest.approx(0.7 * 3.0, rel=1e-15)
+        result = run_null_measurement(IDEAL, cfg, 30.0, 0.05, applied_force=100e-12,
+                                      check_stability=False, delta_theta_min=1.0)
+        assert np.any(result.error_mv != 0.0)
+        assert result.delta_v == pytest.approx(0.7 * result.error_mv, rel=1e-15, abs=0.0)
 
     def test_replay_is_bit_identical(self):
-        rng = np.random.default_rng(1)
-        errors = rng.normal(0.0, 0.3, size=200)
+        instrument = InstrumentSpec(detector=DetectorSpec(sensitivity=0.5, quantization=0.1))
 
         def run():
-            state = PidState()
-            outs = []
-            for e in errors:
-                out, state = pid_step(PID, state, float(e), 0.05)
-                outs.append(out)
-            return outs
+            result = run_null_measurement(instrument, PID, 30.0, 0.05, thermal_noise=True,
+                                          seed=1)
+            return result.error_mv.tobytes(), result.delta_v.tobytes()
 
         assert run() == run()
 
     def test_saturation_clamps_output_and_integral(self):
+        # 100 nN needs about 11 V of feedback, beyond both limits below
         cfg = PidConfig(kp=1.0, ki=10.0, kd=0.0, output_limit=2.0, integral_limit=1.5)
-        state = PidState()
-        for _ in range(100):
-            out, state = pid_step(cfg, state, 50.0, 0.1)
-            assert abs(out) <= cfg.output_limit
-            assert abs(state.integral) <= cfg.integral_limit
-        assert state.saturated
+        saturated = run_null_measurement(IDEAL, cfg, 30.0, 0.05, applied_force=100e-9,
+                                         check_stability=False, delta_theta_min=1.0)
+        assert np.max(np.abs(saturated.delta_v)) == cfg.output_limit
+        # a tiny kp keeps the output below its limit, so delta_v - kp * error is the
+        # integral term alone: clamped at its limit, not wound up
+        cfg = PidConfig(kp=1e-4, ki=10.0, kd=0.0, output_limit=2.0, integral_limit=1.5)
+        result = run_null_measurement(IDEAL, cfg, 30.0, 0.05, applied_force=100e-9,
+                                      check_stability=False, delta_theta_min=1.0)
+        assert np.max(np.abs(result.delta_v)) < cfg.output_limit
+        integral = result.delta_v - cfg.kp * result.error_mv
+        assert np.max(np.abs(integral)) == pytest.approx(cfg.integral_limit, rel=1e-12)
+        assert integral[-1] == pytest.approx(cfg.integral_limit, rel=1e-12)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):
-            pid_step(PID, PidState(), 0.0, 0.0)
+            PidConfig(sample_interval=0.0)
 
 
 class TestFeedbackTorque:
@@ -78,19 +83,19 @@ class TestFeedbackTorque:
 
     def test_zero_output_gives_zero_torque(self):
         act = ActuatorSpec(fb_bias=10.0)
-        assert feedback_torque(0.0, act, self.BAL, "linear") == 0.0
-        assert feedback_torque(0.0, act, self.BAL, "quadratic") == 0.0
+        assert _feedback_law(act, self.BAL, "linear")(0.0) == 0.0
+        assert _feedback_law(act, self.BAL, "quadratic")(0.0) == 0.0
 
     def test_parallel_plate_reference_value(self):
         # eps0 * A * dV^2 / (2 gap^2) * r_fb at A = 1 cm^2, gap = 1 mm
-        tau = feedback_torque(1.0, self.ACT, self.BAL, "quadratic")
+        tau = _feedback_law(self.ACT, self.BAL, "quadratic")(1.0)
         assert tau == pytest.approx(4.4270939064e-10 * 0.1, rel=1e-10)
 
     def test_linear_matches_quadratic_for_small_signals(self):
         act = ActuatorSpec(fb_bias=10.0)
         dv = 0.005 * act.fb_bias
-        lin = feedback_torque(dv, act, self.BAL, "linear")
-        quad = feedback_torque(dv, act, self.BAL, "quadratic")
+        lin = _feedback_law(act, self.BAL, "linear")(dv)
+        quad = _feedback_law(act, self.BAL, "quadratic")(dv)
         assert quad / lin == pytest.approx(1.0, abs=0.01)
         # Taylor remainder: the ratio is exactly 1 + dv / (2 bias)
         assert quad / lin == pytest.approx(1.0 + dv / (2 * act.fb_bias), rel=1e-12)
@@ -98,11 +103,17 @@ class TestFeedbackTorque:
     def test_rejects_closed_gap(self):
         bad = SimpleNamespace(fb_plate_area=1e-4, fb_gap=0.0, fb_bias=10.0)
         with pytest.raises(DomainError):
-            feedback_torque(1.0, bad, self.BAL, "linear")
+            _feedback_law(bad, self.BAL, "linear")
+
+    @pytest.mark.parametrize("gap", [1e-300, 1e300])
+    def test_gap_squared_beyond_float_range_names_the_key(self, gap):
+        bad = SimpleNamespace(fb_plate_area=1e-4, fb_gap=gap, fb_bias=10.0)
+        with pytest.raises(DomainError, match="actuator.fb_gap"):
+            _feedback_law(bad, self.BAL, "linear")
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
-            feedback_torque(1.0, self.ACT, self.BAL, "cubic")
+            _feedback_law(self.ACT, self.BAL, "cubic")
 
 
 def _run(force, duration=300.0, seed=0, **kwargs):
@@ -178,10 +189,9 @@ class TestNullMeasurement:
             voltages=VoltageState(patch_rms=5e-3),
             components=frozenset({"patch", "casimir_ideal"}),
         )
-        run_null_measurement(
-            IDEAL, PID, 30.0, 0.05,
+        traced_run(
+            IDEAL, PID, 30.0, 0.05, rows,
             forces=forces, gap=GapState(10e-6, 4e-6),
-            on_row=rows.append,
         )
         assert len(rows) == 600
         first = rows[0]
@@ -218,7 +228,7 @@ class TestForceLawInTheKernel:
     def no_total_force(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("total_force called in the loop")
-        monkeypatch.setattr(control, "total_force", forbidden)
+        monkeypatch.setattr("torsionlab.forces.total_force", forbidden)
 
     def test_jittered_run_makes_no_total_force_calls(self, no_total_force):
         forces = ForceModelParams(voltages=VoltageState(applied=0.1, minimizing=0.02),
@@ -243,7 +253,6 @@ class TestForceLawInTheKernel:
         with pytest.raises(DomainError):
             scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **self.CLOSING)
         with pytest.raises(DomainError):
-            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False,
-                                 on_row=rows.append, **self.CLOSING)
+            traced_run(IDEAL, PID, 30.0, 0.05, rows, check_stability=False, **self.CLOSING)
         assert len(rows) == len(steps)
         assert set(rows[0].forces) == {"electrostatic", "patch"}

@@ -5,24 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from oracle import SimState, pzt_actual_position, step, traced_run
 from torsionlab import (
     ActuatorSpec,
     BalanceSpec,
     DetectorSpec,
+    GapState,
+    InstrumentSpec,
+    PidConfig,
     PlantParams,
-    SimState,
-    detector_read,
     natural_frequency,
-    pzt_actual_position,
     run_langevin,
-    step,
-    thermal_torque_sample,
+    run_null_measurement,
 )
 from torsionlab.constants import CONSTANTS
+from torsionlab.dynamics import _propagator
 from torsionlab.errors import DomainError
 
 ALPHA_REF = 2.96e-6
 INERTIA = 3.24e-4
+OPEN_LOOP = PidConfig(kp=0.0, ki=0.0, kd=0.0)  # the loop reads but never acts
 
 
 def _balance(Q=1000.0, inertia=INERTIA):
@@ -46,33 +48,48 @@ class TestNaturalFrequency:
 
 
 class TestThermalTorque:
+    """The plant's per-step thermal torque: sigma from thermal_sigma, draws from run_langevin."""
+
+    @staticmethod
+    def _first_step_torques(plant, dt, seeds):
+        # One step from rest under a held torque tau ends at tau / alpha * (1 - axx),
+        # so each seed's first angle gives that run's first thermal torque sample.
+        axx = _propagator(plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt)[0]
+        theta = np.array([run_langevin(plant, dt, 1, seed=s)[0] for s in seeds])
+        return theta * plant.stiffness / (1.0 - axx)
+
     def test_zero_temperature_is_silent(self):
-        rng = np.random.default_rng(0)
-        assert thermal_torque_sample(_balance(), ALPHA_REF, 0.0, 0.1, rng) == 0.0
+        plant = PlantParams(balance=_balance(), stiffness=ALPHA_REF, temperature=0.0,
+                            thermal_noise=True)
+        assert plant.thermal_sigma(0.1) == 0.0
 
     def test_sample_variance_matches_fdt(self):
-        balance = _balance(Q=10.0)
+        plant = PlantParams(balance=_balance(Q=10.0), stiffness=ALPHA_REF, temperature=300.0,
+                            thermal_noise=True)
         dt = 0.5
-        rng = np.random.default_rng(11)
-        samples = np.array(
-            [thermal_torque_sample(balance, ALPHA_REF, 300.0, dt, rng) for _ in range(40000)]
-        )
-        gamma = INERTIA * natural_frequency(balance, ALPHA_REF) / 10.0
+        gamma = INERTIA * natural_frequency(plant.balance, ALPHA_REF) / 10.0
         expected = 2.0 * CONSTANTS.k_b * 300.0 * gamma / dt
+        assert plant.thermal_sigma(dt) ** 2 == pytest.approx(expected, rel=1e-12)
+        samples = self._first_step_torques(plant, dt, range(40000))
         assert samples.mean() == pytest.approx(0.0, abs=4 * math.sqrt(expected / len(samples)))
         assert samples.var() == pytest.approx(expected, rel=0.03)
 
     def test_doubling_temperature_doubles_variance(self):
-        balance = _balance(Q=10.0)
-        # identical generator stream: samples scale by sqrt(2) exactly
-        a = [thermal_torque_sample(balance, ALPHA_REF, 300.0, 0.5, np.random.default_rng(7))
-             for _ in range(100)]
-        b = [thermal_torque_sample(balance, ALPHA_REF, 600.0, 0.5, np.random.default_rng(7))
-             for _ in range(100)]
+        def plant(T):
+            return PlantParams(balance=_balance(Q=10.0), stiffness=ALPHA_REF, temperature=T,
+                               thermal_noise=True)
+
+        assert plant(600.0).thermal_sigma(0.5) ** 2 == pytest.approx(
+            2.0 * plant(300.0).thermal_sigma(0.5) ** 2, rel=1e-12)
+        # identical generator stream: the linear response scales by sqrt(2) exactly
+        a = run_langevin(plant(300.0), 0.5, 100, seed=7)
+        b = run_langevin(plant(600.0), 0.5, 100, seed=7)
         assert np.var(b) == pytest.approx(2.0 * np.var(a), rel=1e-12)
 
 
 class TestStep:
+    """One-step propagation, through the open-loop run_langevin."""
+
     def test_damped_oscillation_matches_analytic(self):
         Q = 10.0
         plant = PlantParams(balance=_balance(Q=Q), stiffness=ALPHA_REF, thermal_noise=False)
@@ -81,15 +98,11 @@ class TestStep:
         w_d = math.sqrt(w0**2 - lam**2)
         dt = plant.period / 200
         theta0 = 1e-5
-        state = SimState.seeded(0, theta=theta0)
         n = int(round(10 * plant.period / dt))
-        worst = 0.0
-        for _ in range(n):
-            step(state, plant, 0.0, dt)
-            analytic = math.exp(-lam * state.t) * theta0 * (
-                math.cos(w_d * state.t) + lam / w_d * math.sin(w_d * state.t)
-            )
-            worst = max(worst, abs(state.theta - analytic))
+        theta = run_langevin(plant, dt, n, theta0=theta0)
+        t = dt * np.arange(1, n + 1)
+        analytic = np.exp(-lam * t) * theta0 * (np.cos(w_d * t) + lam / w_d * np.sin(w_d * t))
+        worst = float(np.max(np.abs(theta - analytic)))
         assert worst / theta0 < 1e-3   # contract tolerance; the exact map does ~1e-13
         assert worst / theta0 < 1e-9
 
@@ -97,30 +110,34 @@ class TestStep:
         plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
         dt = plant.period / 100
         tau = 1e-10
-        state = SimState.seeded(0)
-        for _ in range(int(round(600.0 / dt))):
-            step(state, plant, tau, dt)
-        assert state.theta == pytest.approx(tau / ALPHA_REF, rel=1e-4)
-        assert state.theta == pytest.approx(tau / ALPHA_REF, rel=1e-10)
+        theta = run_langevin(plant, dt, int(round(600.0 / dt)), external_torque=tau)[-1]
+        assert theta == pytest.approx(tau / ALPHA_REF, rel=1e-4)
+        assert theta == pytest.approx(tau / ALPHA_REF, rel=1e-10)
 
     def test_nano_newton_force_maps_to_reference_angle_and_reading(self):
         # 1 nN at a 0.1 m arm: 33.8 urad, read as 16.9 mV at 0.5 mV/urad
-        plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
+        balance = _balance(Q=1.0)
+        plant = PlantParams(balance=balance, stiffness=ALPHA_REF)
         dt = plant.period / 100
-        state = SimState.seeded(0)
-        tau = 1e-9 * 0.1
-        for _ in range(int(round(600.0 / dt))):
-            step(state, plant, tau, dt)
-        assert state.theta * 1e6 == pytest.approx(33.8, rel=2e-3)
-        reading = detector_read(state.theta, DetectorSpec(sensitivity=0.5, quantization=0.0))
-        assert reading == pytest.approx(16.9, rel=2e-3)
+        duration = 600.0
+        theta = run_langevin(plant, dt, int(round(duration / dt)), external_torque=1e-9 * 0.1)
+        assert theta[-1] * 1e6 == pytest.approx(33.8, rel=2e-3)
+        # the same pendulum in the loop with zero gains: the detector column reads it
+        instrument = InstrumentSpec(balance=balance,
+                                    detector=DetectorSpec(sensitivity=0.5, quantization=0.0))
+        result = run_null_measurement(instrument, OPEN_LOOP, duration, dt, stiffness=ALPHA_REF,
+                                      applied_force=1e-9, check_stability=False,
+                                      delta_theta_min=1.0)
+        assert result.theta[-1] == pytest.approx(theta[-1], rel=1e-12)
+        assert result.error_mv[-1] == pytest.approx(16.9, rel=2e-3)
 
     def test_rejects_oversized_step(self):
         plant = PlantParams(balance=_balance(), stiffness=ALPHA_REF)
         with pytest.raises(DomainError, match="reduce the step"):
-            step(SimState.seeded(0), plant, 0.0, plant.period / 10)
+            run_langevin(plant, plant.period / 10, 1)
 
     def test_energy_conservation_without_damping(self):
+        # needs the angular rate, which only the scalar reference stepper exposes
         plant = PlantParams(
             balance=_balance(Q=math.inf), stiffness=ALPHA_REF, thermal_noise=False
         )
@@ -137,12 +154,8 @@ class TestStep:
         plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
         dt = plant.period / 100
         n = int(round(900.0 / dt))
-        ratios = []
-        for tau in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
-            state = SimState.seeded(0)
-            for _ in range(n):
-                step(state, plant, tau, dt)
-            ratios.append(state.theta / tau)
+        ratios = [run_langevin(plant, dt, n, external_torque=tau)[-1] / tau
+                  for tau in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9)]
         ref = 1.0 / ALPHA_REF
         for r in ratios:
             assert abs(r - ref) / ref < 1e-10
@@ -182,22 +195,28 @@ class TestLangevin:
 
 
 class TestPzt:
+    """Realized PZT positions, as the kernel reports them per step."""
+
     SPEC = ActuatorSpec(pzt_accuracy=0.2e-9, pzt_range=15e-6)
 
+    @staticmethod
+    def _positions(actuator, steps):
+        rows = []
+        traced_run(InstrumentSpec(actuator=actuator), OPEN_LOOP, steps * 0.05, 0.05, rows,
+                   gap=GapState(10e-6, 5e-6), pzt_jitter=True, check_stability=False)
+        return np.array([row.d_r for row in rows])
+
     def test_zero_jitter_is_identity(self):
-        spec = ActuatorSpec(pzt_accuracy=0.0)
-        out = pzt_actual_position(5e-6, spec, np.random.default_rng(0))
-        assert out.position == 5e-6
-        assert not out.saturated
+        positions = self._positions(ActuatorSpec(pzt_accuracy=0.0), 100)
+        assert np.all(positions == 5e-6)
 
     def test_jitter_rms(self):
-        rng = np.random.default_rng(3)
-        errs = np.array(
-            [pzt_actual_position(5e-6, self.SPEC, rng).position - 5e-6 for _ in range(10000)]
-        )
+        errs = self._positions(self.SPEC, 10000) - 5e-6
         assert np.sqrt(np.mean(errs**2)) == pytest.approx(0.2e-9, rel=0.03)
 
     def test_out_of_range_clamps_with_flag(self):
+        # the kernel rejects such a command outright (tests/test_control.py
+        # TestPztRange); the clamp and its flag live in the scalar reference only
         spec = ActuatorSpec(pzt_accuracy=0.0, pzt_range=15e-6)
         out = pzt_actual_position(20e-6, spec, np.random.default_rng(0))
         assert out.saturated
@@ -208,20 +227,43 @@ class TestPzt:
 
 
 class TestDetector:
+    """Quantized readings, from the error_mv column of an open (zero-gain) loop."""
+
+    THETA_0_1_URAD = 0.1e-6 * ALPHA_REF / 0.1  # N at the 0.1 m arm
+
+    @staticmethod
+    def _settled_reading(force, quantization):
+        # With zero gains the loop never acts, so the angle is the same for
+        # every quantization; at Q = 1 it settles on F r / alpha, and the last
+        # reading is that of the settled angle.
+        instrument = InstrumentSpec(
+            balance=_balance(Q=1.0),
+            detector=DetectorSpec(sensitivity=0.5, quantization=quantization))
+        result = run_null_measurement(instrument, OPEN_LOOP, 1200.0, 0.5, stiffness=ALPHA_REF,
+                                      applied_force=force, check_stability=False,
+                                      delta_theta_min=1.0)
+        return result.error_mv[-1]
+
     def test_threshold_behavior(self):
-        # 0.1 urad reads 0.05 mV raw; half-away rounding promotes it to
-        # a full 0.1 mV step
-        spec = DetectorSpec(sensitivity=0.5, quantization=0.1)
-        assert detector_read(0.1e-6, spec) == pytest.approx(0.1, rel=1e-12)
-        assert detector_read(-0.1e-6, spec) == pytest.approx(-0.1, rel=1e-12)
-        assert detector_read(0.099e-6, spec) == pytest.approx(0.0, abs=1e-15)
+        # 0.1 urad reads 0.05 mV raw; at a 0.1 mV step half-away rounding
+        # promotes it to a full step. The step is set to exactly twice the raw
+        # settled reading, so the raw value sits exactly on the midpoint.
+        raw = self._settled_reading(self.THETA_0_1_URAD, 0.0)
+        assert raw == pytest.approx(0.05, rel=1e-9)
+        step_mv = 2.0 * raw
+        assert step_mv == pytest.approx(0.1, rel=1e-9)
+        assert self._settled_reading(self.THETA_0_1_URAD, step_mv) == step_mv
+        assert self._settled_reading(-self.THETA_0_1_URAD, step_mv) == -step_mv
+        assert self._settled_reading(0.99 * self.THETA_0_1_URAD, step_mv) == 0.0
 
     def test_zero_angle(self):
-        assert detector_read(0.0, DetectorSpec()) == 0.0
+        result = run_null_measurement(InstrumentSpec(), OPEN_LOOP, 1.0, 0.05,
+                                      check_stability=False)
+        assert result.error_mv[0] == 0.0
 
     def test_linear_reading(self):
-        spec = DetectorSpec(sensitivity=0.5, quantization=0.0)
-        assert detector_read(33.8e-6, spec) == pytest.approx(16.9, rel=1e-12)
+        reading = self._settled_reading(338.0 * self.THETA_0_1_URAD, 0.0)  # 33.8 urad
+        assert reading == pytest.approx(16.9, rel=1e-12)
 
     def test_resolution_is_reciprocal_sensitivity(self):
         spec = DetectorSpec(sensitivity=0.5)

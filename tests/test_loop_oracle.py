@@ -1,9 +1,9 @@
 """Differential oracle: the batched closed-loop kernel against the scalar loop.
 
 ``scalar_loop`` is the per-step loop body the package ran before the
-kernel existed, built from the public single-step functions (step,
-pid_step, feedback_torque, detector_read, pzt_actual_position,
-total_force). The kernel must reproduce it bit for bit, alone (B = 1,
+kernel existed, built from the single-step functions kept in
+``tests/oracle.py`` (step, pid_step, feedback_torque, detector_read,
+pzt_actual_position) and the package's total_force. The kernel must reproduce it bit for bit, alone (B = 1,
 through run_null_measurement) and in a batch (B = 9), and must diverge
 at the same step.
 """
@@ -15,23 +15,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracle import (PidState, SimState, detector_read, feedback_torque, pid_step,
+                    pzt_actual_position, step, traced_run)
 from torsionlab import (
     DetectorSpec,
     ForceModelParams,
     GapState,
     InstrumentSpec,
     PidConfig,
-    PidState,
     PlantParams,
-    SimState,
     SphereSpec,
     VoltageState,
-    detector_read,
-    feedback_torque,
-    pid_step,
-    pzt_actual_position,
     run_null_measurement,
-    step,
     torsion_constant,
     total_force,
 )
@@ -109,7 +104,7 @@ def kernel_batch(instrument, pid, runs, *, actuator_mode="linear", thermal_noise
     )
     cols = np.empty((5, n, len(runs)))
 
-    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext, parts):
+    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext):
         for row, value in enumerate((t, reading, delta_v, theta, f_ext)):
             cols[row, k] = value
         if steps is not None:
@@ -177,8 +172,8 @@ def test_unstable_single_run_diverges_at_the_same_step():
     with pytest.raises(InstabilityError) as oracle_exc:
         scalar_loop(IDEAL, UNSTABLE, DURATION * 2, DT, applied_force=1e-10, steps=want_steps)
     with pytest.raises(InstabilityError) as kernel_exc:
-        run_null_measurement(IDEAL, UNSTABLE, DURATION * 2, DT, applied_force=1e-10,
-                             check_stability=False, on_row=got_rows.append)
+        traced_run(IDEAL, UNSTABLE, DURATION * 2, DT, got_rows, applied_force=1e-10,
+                   check_stability=False)
     assert len(got_rows) == len(want_steps) < int(round(DURATION * 2 / DT))
     assert str(kernel_exc.value) == str(oracle_exc.value)
 

@@ -91,23 +91,26 @@ def test_nonnegative_decomposition_in_a_fresh_interpreter(tmp_path):
     assert out.split() == ["True", "True", "True"]
 
 
-# The names the package exported when it imported every submodule eagerly.
+# The package's exports: the 68 names of the eager-import package, less the
+# scalar per-step API that moved to tests/oracle.py (PidState, SimState,
+# TraceRow, detector_read, feedback_torque, pid_step, pzt_actual_position, step,
+# thermal_torque_sample).
 EXPORTS = {
     "ActuatorSpec", "BalanceSpec", "CONSTANTS", "CalibrationResult", "ConfigError",
     "DetectorSpec", "DomainError", "FiberSpec", "ForceBreakdown", "ForceModelParams", "GapState",
     "InstabilityError", "InstrumentSpec", "MichelsonCalibration", "MichelsonTrace",
     "NullMeasurementResult", "NumericalError", "ParabolaFit", "PhysicalConstants", "PidConfig",
-    "PidState", "PlantParams", "ResidualDecomposition", "RunSchedule", "SPHERE_PRESETS",
-    "Scenario", "SchemaError", "SensitivityReport", "SimState", "SphereSpec", "TorsionLabError",
-    "TraceRow", "VoltageState", "VoltageSweep", "build_report", "calibrate_sweeps",
+    "PlantParams", "ResidualDecomposition", "RunSchedule", "SPHERE_PRESETS",
+    "Scenario", "SchemaError", "SensitivityReport", "SphereSpec", "TorsionLabError",
+    "VoltageState", "VoltageSweep", "build_report", "calibrate_sweeps",
     "casimir_force_ideal", "casimir_force_thermal", "constants_table", "contact_point_fit",
-    "decompose_residual", "detector_read", "electrostatic_force_exact",
-    "electrostatic_force_pfa", "feedback_torque", "force_law", "force_resolution_from_angle",
+    "decompose_residual", "electrostatic_force_exact",
+    "electrostatic_force_pfa", "force_law", "force_resolution_from_angle",
     "jitter_force_floor", "load_scenario", "max_thermal_casimir_distance",
     "michelson_calibrate", "natural_frequency", "parabola_fit", "parse_scenario_text",
-    "patch_force", "pid_step", "pzt_actual_position", "run_electrostatic_calibration",
-    "run_langevin", "run_null_measurement", "scenario_hash", "step", "swing_angle_noise",
-    "synthetic_michelson_trace", "thermal_angle_noise", "thermal_torque_sample",
+    "patch_force", "run_electrostatic_calibration",
+    "run_langevin", "run_null_measurement", "scenario_hash", "swing_angle_noise",
+    "synthetic_michelson_trace", "thermal_angle_noise",
     "torsion_constant", "total_force",
 }
 
