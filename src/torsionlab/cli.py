@@ -47,8 +47,8 @@ FIT_COLUMNS = {
 }
 POSITION_COLUMNS = ("d_r_m", *FIT_COLUMNS, "failed")
 
-# Rows of the loop record formatted at a time: whole columns of repr strings
-# would add about 14 MB to a 30,000-step simulate's peak memory.
+# Rows of the loop record formatted at a time, in CSV and JSON: whole columns
+# of repr strings would add about 14 MB to a 30,000-step simulate's peak memory.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -128,30 +128,40 @@ def _run_simulation(scenario: Scenario, position: float | None = None,
     )
 
 
-def _loop_columns(result, start: int = 0, stop: int | None = None) -> list:
-    """Rows [start, stop) of the loop record: a list of Python floats per LOOP_COLUMNS column."""
-    return [getattr(result, attr)[start:stop].tolist() for attr in LOOP_COLUMNS.values()]
+def _loop_blocks(result):
+    """The loop record, CSV_BLOCK_ROWS rows at a time: Python floats per LOOP_COLUMNS column."""
+    for start in range(0, len(result.t), CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        yield [getattr(result, attr)[start:stop].tolist() for attr in LOOP_COLUMNS.values()]
 
 
 def write_loop_csv(result, path: Path) -> Path:
-    """_write_csv's bytes, formatted a column at a time in blocks of rows that bound memory."""
+    """_write_csv's bytes, formatted a column at a time, a block of rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(LOOP_COLUMNS) + "\n")
-        for start in range(0, len(result.t), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            cells = [map(repr, column) for column in _loop_columns(result, start, stop)]
+        for columns in _loop_blocks(result):
+            cells = [map(repr, column) for column in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return path
+
+
+def write_loop_json(result, path: Path) -> Path:
+    """_write_json's bytes for the list of row dicts: each row's own dump, one level in."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    rows = (encode(dict(zip(LOOP_COLUMNS, row))).replace("\n", "\n  ")
+            for columns in _loop_blocks(result) for row in zip(*columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n  " + next(rows))  # a run records at least 10 rows
+        fh.writelines(",\n  " + row for row in rows)
+        fh.write("\n]\n")
     return path
 
 
 @_command("simulate")
 def cmd_simulate(args, scenario, out):
     result = _run_simulation(scenario)
-    if args.format == "json":
-        rows = [dict(zip(LOOP_COLUMNS, row)) for row in zip(*_loop_columns(result))]
-        series = _write_json(out / "timeseries.json", rows)
-    else:
-        series = write_loop_csv(result, out / "timeseries.csv")
+    write = write_loop_json if args.format == "json" else write_loop_csv
+    series = write(result, out / f"timeseries.{args.format}")
     summary = {
         "scenario_hash": scenario_hash(scenario),
         "seed": scenario.seed,

@@ -103,8 +103,15 @@ def _load(run: _Run):
     """External force on the Casimir arm as a function of the realized position d_r."""
     if run.forces is None:
         return lambda d_r, f=run.applied_force: f
-    return (lambda d_r, f=run.applied_force, d0=run.gap.contact_offset,
-            law=force_law(run.forces): f + law(d0 - d_r))
+
+    def load(d_r, f=run.applied_force, d0=run.gap.contact_offset, law=force_law(run.forces)):
+        try:
+            return f + law(d0 - d_r)
+        except (OverflowError, ZeroDivisionError):  # a power of the gap beyond float range
+            raise DomainError(f"force law leaves the float range at d0 - d_r = {d0 - d_r:.6g} m "
+                              f"(run.contact_offset = {d0:.6g} m, d_r = {d_r:.6g} m from "
+                              f"run.position or run.positions)") from None
+    return load
 
 
 def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams, dt: float,
@@ -281,12 +288,13 @@ def _prepare(instrument, pid, duration, dt, *, stiffness=None, temperature, ther
     alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
     plant = PlantParams(balance=instrument.balance, stiffness=alpha,
                         temperature=temperature, thermal_noise=thermal_noise)
-    if not duration / dt <= MAX_STEPS:  # checked before anything is allocated
+    steps = duration / dt  # NaN, inf and 1e300 are rejected before any rounding
+    n = int(round(steps)) if steps <= MAX_STEPS + 1 else MAX_STEPS + 1
+    if n > MAX_STEPS:  # checked before anything is allocated
         raise DomainError(
-            f"run.duration = {duration:.6g} s at run.dt = {dt:.6g} s needs {duration / dt:.3g} "
+            f"run.duration = {duration:.6g} s at run.dt = {dt:.6g} s needs {steps:.7g} "
             f"steps, over the cap of {MAX_STEPS}; shorten run.duration or raise run.dt"
         )
-    n = int(round(duration / dt))
     if n < 10:
         raise DomainError("duration must cover at least 10 steps")
     if check_stability:

@@ -10,8 +10,8 @@ step, so the noiseless undamped oscillator conserves energy to rounding
 and the damped solution matches the analytic envelope exactly. Thermal
 torque follows the fluctuation-dissipation theorem: a zero-mean Gaussian
 sample of variance 2 k_b T gamma / dt per step, which reproduces
-equipartition <theta^2> = k_b T / alpha. The closed loop in ``control``
-and the open-loop ``run_langevin`` both step through ``_propagator``.
+equipartition <theta^2> = k_b T / alpha. The loop in ``control`` steps
+through ``_propagator``; with zero gains it is the open-loop pendulum.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .constants import CONSTANTS
 from .errors import DomainError
@@ -30,7 +28,6 @@ __all__ = [
     "PlantParams",
     "natural_frequency",
     "check_step",
-    "run_langevin",
 ]
 
 MIN_STEPS_PER_PERIOD = 50
@@ -141,38 +138,3 @@ def check_step(plant: PlantParams, dt: float) -> None:
 def _round_half_away(x: float) -> float:
     """Round to the nearest integer, ties away from zero (the detector's quantizer)."""
     return math.copysign(math.floor(abs(x) + 0.5), x)
-
-
-def run_langevin(
-    plant: PlantParams,
-    dt: float,
-    n_steps: int,
-    seed: int = 0,
-    external_torque: float = 0.0,
-    theta0: float = 0.0,
-    omega0: float = 0.0,
-) -> np.ndarray:
-    """Free-running (open loop) simulation; returns the theta trajectory.
-
-    Noise samples are pre-drawn in one vectorized call, which is
-    equivalent to per-step sampling from the same generator stream.
-    """
-    check_step(plant, dt)
-    axx, axv, avx, avv = _propagator(
-        plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt
-    )
-    sigma = plant.thermal_sigma(dt)
-    if sigma > 0.0:
-        noise = np.random.default_rng(seed).standard_normal(n_steps) * sigma
-    else:
-        noise = np.zeros(n_steps)
-    alpha = plant.stiffness
-    theta, omega = theta0, omega0
-    out = np.empty(n_steps)
-    for k in range(n_steps):
-        x_eq = (external_torque + noise[k]) / alpha
-        x = theta - x_eq
-        theta = x_eq + axx * x + axv * omega
-        omega = avx * x + avv * omega
-        out[k] = theta
-    return out

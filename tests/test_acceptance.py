@@ -29,7 +29,6 @@ from torsionlab import (
     michelson_calibrate,
     patch_force,
     run_electrostatic_calibration,
-    run_langevin,
     run_null_measurement,
     swing_angle_noise,
     synthetic_michelson_trace,
@@ -122,7 +121,14 @@ def test_criterion_07_equipartition():
             temperature=300.0,
             thermal_noise=True,
         )
-        theta = run_langevin(plant, plant.period / 100.0, 1_000_000, seed=1)
+        dt = plant.period / 100.0
+        # the open loop: zero gains, so the kernel steps the free pendulum
+        theta = run_null_measurement(
+            InstrumentSpec(balance=plant.balance), PidConfig(kp=0.0, ki=0.0, kd=0.0),
+            1_000_000 * dt, dt, stiffness=plant.stiffness, thermal_noise=True,
+            temperature=plant.temperature, seed=1, check_stability=False,
+        ).theta
+        assert len(theta) == 1_000_000
         measured = float(np.mean(theta[100_000:] ** 2))
         assert measured == pytest.approx(CONSTANTS.k_b * 300.0 / ALPHA_DEFAULT, rel=0.05)
 

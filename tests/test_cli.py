@@ -67,11 +67,11 @@ class TestSimulate:
         rows = json.loads((out / "timeseries.json").read_text())
         assert rows[0].keys() == {"t_s", "error_mV", "deltaV_V", "theta_rad", "F_ext_N"}
 
-    def test_loop_csv_blocks_keep_the_cell_writer_bytes(self, tmp_path, monkeypatch):
-        # A short last block, block edges, signed zeros and full-precision
-        # floats come out as _write_csv formats them one cell at a time.
+    @staticmethod
+    def _blocked_record(monkeypatch, n=30):
+        # 30 rows in 7-row blocks: a short last block, block edges, signed
+        # zeros and full-precision floats. Returns the record and its rows.
         rng = np.random.default_rng(3)
-        n = 30
         columns = {
             "t": np.arange(1, n + 1) * 0.05,
             "error_mv": np.where(np.arange(n) % 3 == 0, -0.0, np.round(rng.normal(size=n), 1)),
@@ -79,14 +79,28 @@ class TestSimulate:
             "theta": rng.normal(scale=1e-9, size=n),
             "applied_force": np.full(n, 1e-10) + rng.normal(scale=1e-13, size=n),
         }
-        result = SimpleNamespace(**columns)
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        rows = [[float(v) for v in row]
+                for row in zip(*(columns[a] for a in cli.LOOP_COLUMNS.values()))]
+        return SimpleNamespace(**columns), rows
+
+    def test_loop_csv_blocks_keep_the_cell_writer_bytes(self, tmp_path, monkeypatch):
+        # the blocks come out as _write_csv formats them one cell at a time
+        result, rows = self._blocked_record(monkeypatch)
         cli.write_loop_csv(result, tmp_path / "blocks.csv")
-        rows = (map(float, row) for row in zip(*(columns[a] for a in cli.LOOP_COLUMNS.values())))
         cli._write_csv(tmp_path / "cells.csv", cli.LOOP_COLUMNS, rows)
         text = (tmp_path / "blocks.csv").read_text()
         assert text == (tmp_path / "cells.csv").read_text()
-        assert len(text.splitlines()) == n + 1 and ",-0.0," in text
+        assert len(text.splitlines()) == len(rows) + 1 and ",-0.0," in text
+
+    def test_loop_json_blocks_keep_the_whole_array_bytes(self, tmp_path, monkeypatch):
+        # the blocks come out as _write_json dumps the whole list of row dicts
+        result, rows = self._blocked_record(monkeypatch)
+        cli.write_loop_json(result, tmp_path / "blocks.json")
+        cli._write_json(tmp_path / "whole.json", [dict(zip(cli.LOOP_COLUMNS, r)) for r in rows])
+        text = (tmp_path / "blocks.json").read_text()
+        assert text == (tmp_path / "whole.json").read_text()
+        assert len(json.loads(text)) == len(rows) and '"error_mV": -0.0,' in text
 
     def test_unstable_gains_exit_code(self, tmp_path):
         cfg = _cfg(tmp_path, FAST_SIM + "control.kp = -0.5 V/mV\n")
@@ -401,6 +415,11 @@ class TestBadInputExitCode:
         # step counts past the cap: an array too large to index, or 74.5 GiB
         "huge_duration": ([], "run.duration = 1e300 s\n", "run.duration"),
         "long_duration": ([], "run.duration = 1e8 s\n", "run.duration"),
+        # a power of the gap d0 - d_r in the force law overflows, or underflows to 0
+        "huge_contact_offset": ([], "run.duration = 20 s\nrun.contact_offset = 1e300 m\n",
+                                "run.contact_offset"),
+        "tiny_contact_offset": ([], "run.duration = 20 s\nrun.contact_offset = 1e-300 m\n",
+                                "run.contact_offset"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -410,6 +429,14 @@ class TestBadInputExitCode:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    def test_calibrate_huge_contact_offset_exits_2_and_names_the_keys(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "run.duration = 20 s\nrun.contact_offset = 1e300 m\n"
+                             "run.positions = 1 um, 2 um\nrun.voltages = -0.1 V, 0 V, 0.1 V\n")
+        code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "run.contact_offset" in err and "run.positions" in err
 
 
 class TestBudgetBadInputExitCode:

@@ -10,14 +10,17 @@ from torsionlab import (
     ActuatorSpec,
     BalanceSpec,
     DetectorSpec,
+    FiberSpec,
     ForceModelParams,
     GapState,
     InstrumentSpec,
     PidConfig,
+    PlantParams,
     VoltageState,
     run_null_measurement,
+    torsion_constant,
 )
-from torsionlab.control import _feedback_law
+from torsionlab.control import MAX_STEPS, _feedback_law, _prepare
 from torsionlab.errors import DomainError, InstabilityError
 from test_loop_oracle import scalar_loop
 
@@ -198,6 +201,34 @@ class TestNullMeasurement:
         assert set(first.forces) == {"patch", "casimir_ideal"}
         assert first.d_r == 4e-6
         assert rows[1].t > rows[0].t
+
+
+class TestStepCap:
+    """The cap applies to the steps a run takes: the rounded duration / dt."""
+
+    # acceptance criterion 7's plant, at 100 steps per period
+    BALANCE = BalanceSpec(quality_factor=10.0)
+    DT = PlantParams(balance=BALANCE, stiffness=torsion_constant(FiberSpec())).period / 100
+
+    def _steps(self, duration):
+        _, n, _ = _prepare(InstrumentSpec(balance=self.BALANCE), PID, duration, self.DT,
+                           temperature=300.0, thermal_noise=True, actuator_mode="linear",
+                           check_stability=False)
+        return n
+
+    def test_accepts_exactly_the_cap(self):
+        duration = 1_000_000 * self.DT
+        assert duration / self.DT > MAX_STEPS == 1_000_000  # 1000000.0000000001
+        assert self._steps(duration) == 1_000_000
+
+    def test_rejects_one_step_over_the_cap(self):
+        with pytest.raises(DomainError, match=r"needs 1000001 steps, over the cap of 1000000"):
+            self._steps(1_000_001 * self.DT)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 1e300])
+    def test_rejects_unroundable_durations_before_rounding(self, duration):
+        with pytest.raises(DomainError, match="run.duration"):
+            self._steps(duration)
 
 
 class TestPztRange:

@@ -15,10 +15,10 @@ from torsionlab import (
     PidConfig,
     PlantParams,
     natural_frequency,
-    run_langevin,
     run_null_measurement,
 )
 from torsionlab.constants import CONSTANTS
+from torsionlab.control import _closed_loop, _Run
 from torsionlab.dynamics import _propagator
 from torsionlab.errors import DomainError
 
@@ -29,6 +29,22 @@ OPEN_LOOP = PidConfig(kp=0.0, ki=0.0, kd=0.0)  # the loop reads but never acts
 
 def _balance(Q=1000.0, inertia=INERTIA):
     return BalanceSpec(moment_of_inertia=inertia, quality_factor=Q)
+
+
+def _open_loop(plant, dt, n, *, torque=0.0, seed=0):
+    """Angle after each of n steps of the free pendulum, from rest, under a held torque.
+
+    A zero-gain loop never acts, so the kernel steps the open-loop plant;
+    the torque enters as the force torque / casimir_arm on the Casimir arm.
+    """
+    instrument = InstrumentSpec(balance=plant.balance)
+    result = run_null_measurement(
+        instrument, OPEN_LOOP, n * dt, dt, stiffness=plant.stiffness,
+        applied_force=torque / instrument.balance.casimir_arm,
+        thermal_noise=plant.thermal_noise, temperature=plant.temperature, seed=seed,
+        check_stability=False, delta_theta_min=1.0)
+    assert len(result.theta) == n
+    return result.theta
 
 
 class TestNaturalFrequency:
@@ -48,14 +64,23 @@ class TestNaturalFrequency:
 
 
 class TestThermalTorque:
-    """The plant's per-step thermal torque: sigma from thermal_sigma, draws from run_langevin."""
+    """The plant's per-step thermal torque: sigma from thermal_sigma, draws from the kernel."""
 
     @staticmethod
     def _first_step_torques(plant, dt, seeds):
         # One step from rest under a held torque tau ends at tau / alpha * (1 - axx),
         # so each seed's first angle gives that run's first thermal torque sample.
+        # One zero-gain batch steps every seed's run on its own stream, for 3
+        # steps: the fewest whose final third holds a readout to average.
         axx = _propagator(plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt)[0]
-        theta = np.array([run_langevin(plant, dt, 1, seed=s)[0] for s in seeds])
+        theta = np.empty(len(seeds))
+
+        def emit(k, t, reading, delta_v, th, *_):
+            if k == 0:
+                theta[:] = th
+
+        _closed_loop(InstrumentSpec(balance=plant.balance), OPEN_LOOP, plant, dt, 3,
+                     [_Run(seed=s) for s in seeds], actuator_mode="linear", emit=emit)
         return theta * plant.stiffness / (1.0 - axx)
 
     def test_zero_temperature_is_silent(self):
@@ -82,35 +107,39 @@ class TestThermalTorque:
         assert plant(600.0).thermal_sigma(0.5) ** 2 == pytest.approx(
             2.0 * plant(300.0).thermal_sigma(0.5) ** 2, rel=1e-12)
         # identical generator stream: the linear response scales by sqrt(2) exactly
-        a = run_langevin(plant(300.0), 0.5, 100, seed=7)
-        b = run_langevin(plant(600.0), 0.5, 100, seed=7)
+        a = _open_loop(plant(300.0), 0.5, 100, seed=7)
+        b = _open_loop(plant(600.0), 0.5, 100, seed=7)
         assert np.var(b) == pytest.approx(2.0 * np.var(a), rel=1e-12)
 
 
 class TestStep:
-    """One-step propagation, through the open-loop run_langevin."""
+    """One-step propagation, through the open (zero-gain) loop."""
 
     def test_damped_oscillation_matches_analytic(self):
+        # step response from rest under a held torque: the offset from the
+        # new equilibrium theta_eq rings down on the damped envelope
         Q = 10.0
         plant = PlantParams(balance=_balance(Q=Q), stiffness=ALPHA_REF, thermal_noise=False)
         w0 = plant.omega0
         lam = w0 / (2 * Q)
         w_d = math.sqrt(w0**2 - lam**2)
         dt = plant.period / 200
-        theta0 = 1e-5
+        tau = 1e-5 * ALPHA_REF
+        theta_eq = tau / ALPHA_REF
         n = int(round(10 * plant.period / dt))
-        theta = run_langevin(plant, dt, n, theta0=theta0)
+        theta = _open_loop(plant, dt, n, torque=tau)
         t = dt * np.arange(1, n + 1)
-        analytic = np.exp(-lam * t) * theta0 * (np.cos(w_d * t) + lam / w_d * np.sin(w_d * t))
+        analytic = theta_eq * (
+            1.0 - np.exp(-lam * t) * (np.cos(w_d * t) + lam / w_d * np.sin(w_d * t)))
         worst = float(np.max(np.abs(theta - analytic)))
-        assert worst / theta0 < 1e-3   # contract tolerance; the exact map does ~1e-13
-        assert worst / theta0 < 1e-9
+        assert worst / theta_eq < 1e-3   # contract tolerance; the exact map does ~1e-13
+        assert worst / theta_eq < 1e-9
 
     def test_constant_torque_settles_to_static_equilibrium(self):
         plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
         dt = plant.period / 100
         tau = 1e-10
-        theta = run_langevin(plant, dt, int(round(600.0 / dt)), external_torque=tau)[-1]
+        theta = _open_loop(plant, dt, int(round(600.0 / dt)), torque=tau)[-1]
         assert theta == pytest.approx(tau / ALPHA_REF, rel=1e-4)
         assert theta == pytest.approx(tau / ALPHA_REF, rel=1e-10)
 
@@ -119,22 +148,20 @@ class TestStep:
         balance = _balance(Q=1.0)
         plant = PlantParams(balance=balance, stiffness=ALPHA_REF)
         dt = plant.period / 100
-        duration = 600.0
-        theta = run_langevin(plant, dt, int(round(duration / dt)), external_torque=1e-9 * 0.1)
-        assert theta[-1] * 1e6 == pytest.approx(33.8, rel=2e-3)
-        # the same pendulum in the loop with zero gains: the detector column reads it
+        # the pendulum in the loop with zero gains: the detector column reads it
         instrument = InstrumentSpec(balance=balance,
                                     detector=DetectorSpec(sensitivity=0.5, quantization=0.0))
-        result = run_null_measurement(instrument, OPEN_LOOP, duration, dt, stiffness=ALPHA_REF,
+        result = run_null_measurement(instrument, OPEN_LOOP, 600.0, dt, stiffness=ALPHA_REF,
                                       applied_force=1e-9, check_stability=False,
                                       delta_theta_min=1.0)
-        assert result.theta[-1] == pytest.approx(theta[-1], rel=1e-12)
+        assert result.theta[-1] * 1e6 == pytest.approx(33.8, rel=2e-3)
         assert result.error_mv[-1] == pytest.approx(16.9, rel=2e-3)
 
     def test_rejects_oversized_step(self):
+        # 10 steps, the fewest a run takes, so the step check is what fires
         plant = PlantParams(balance=_balance(), stiffness=ALPHA_REF)
         with pytest.raises(DomainError, match="reduce the step"):
-            run_langevin(plant, plant.period / 10, 1)
+            _open_loop(plant, plant.period / 10, 10)
 
     def test_energy_conservation_without_damping(self):
         # needs the angular rate, which only the scalar reference stepper exposes
@@ -154,7 +181,7 @@ class TestStep:
         plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
         dt = plant.period / 100
         n = int(round(900.0 / dt))
-        ratios = [run_langevin(plant, dt, n, external_torque=tau)[-1] / tau
+        ratios = [_open_loop(plant, dt, n, torque=tau)[-1] / tau
                   for tau in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9)]
         ref = 1.0 / ALPHA_REF
         for r in ratios:
@@ -162,6 +189,8 @@ class TestStep:
 
 
 class TestLangevin:
+    """The Langevin pendulum, stepped by the kernel in an open (zero-gain) loop."""
+
     def test_equipartition_high_q(self):
         # Q = 1000: the mode correlation time is ~2Q/w0, so a 1e6-step
         # record holds only tens of independent samples; the seed is
@@ -171,7 +200,7 @@ class TestLangevin:
             temperature=300.0, thermal_noise=True,
         )
         dt = plant.period / 100
-        theta = run_langevin(plant, dt, 1_000_000, seed=7)
+        theta = _open_loop(plant, dt, 1_000_000, seed=7)
         target = CONSTANTS.k_b * 300.0 / ALPHA_REF
         assert np.mean(theta[len(theta) // 10:] ** 2) == pytest.approx(target, rel=0.05)
 
@@ -181,8 +210,8 @@ class TestLangevin:
             temperature=300.0, thermal_noise=True,
         )
         dt = plant.period / 60
-        a = run_langevin(plant, dt, 20000, seed=42)
-        b = run_langevin(plant, dt, 20000, seed=42)
+        a = _open_loop(plant, dt, 20000, seed=42)
+        b = _open_loop(plant, dt, 20000, seed=42)
         assert np.array_equal(a, b)
 
     def test_zero_noise_from_zero_temperature_rest(self):
@@ -190,7 +219,7 @@ class TestLangevin:
             balance=_balance(Q=10.0), stiffness=ALPHA_REF,
             temperature=0.0, thermal_noise=True,
         )
-        theta = run_langevin(plant, plant.period / 60, 1000, seed=0)
+        theta = _open_loop(plant, plant.period / 60, 1000, seed=0)
         assert np.all(theta == 0.0)
 
 

@@ -94,7 +94,8 @@ def test_nonnegative_decomposition_in_a_fresh_interpreter(tmp_path):
 # The package's exports: the 68 names of the eager-import package, less the
 # scalar per-step API that moved to tests/oracle.py (PidState, SimState,
 # TraceRow, detector_read, feedback_torque, pid_step, pzt_actual_position, step,
-# thermal_torque_sample).
+# thermal_torque_sample) and run_langevin, whose open loop is a zero-gain
+# run_null_measurement.
 EXPORTS = {
     "ActuatorSpec", "BalanceSpec", "CONSTANTS", "CalibrationResult", "ConfigError",
     "DetectorSpec", "DomainError", "FiberSpec", "ForceBreakdown", "ForceModelParams", "GapState",
@@ -109,7 +110,7 @@ EXPORTS = {
     "jitter_force_floor", "load_scenario", "max_thermal_casimir_distance",
     "michelson_calibrate", "natural_frequency", "parabola_fit", "parse_scenario_text",
     "patch_force", "run_electrostatic_calibration",
-    "run_langevin", "run_null_measurement", "scenario_hash", "swing_angle_noise",
+    "run_null_measurement", "scenario_hash", "swing_angle_noise",
     "synthetic_michelson_trace", "thermal_angle_noise",
     "torsion_constant", "total_force",
 }
