@@ -311,10 +311,10 @@ def run_electrostatic_calibration(
         for i, d_r in enumerate(positions)
         for j, v in enumerate(voltages)
     ]
-    steady = _closed_loop(
+    steady = [readout for readout, _, _ in _closed_loop(
         instrument, pid, plant, dt, n, runs, actuator_mode=actuator_mode, k_ctrl=k_ctrl,
         pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
-    )
+    )]
     n_v = len(voltages)
     sweeps = [
         VoltageSweep(d_r=d_r, samples=tuple(zip(voltages, steady[i * n_v:(i + 1) * n_v])))
@@ -414,8 +414,8 @@ class MichelsonTrace:
             raise DomainError("trace voltage and intensity arrays must be 1-D and equal length")
         if len(self.pzt_volts) < 16:
             raise InsufficientDataError("trace needs at least 16 samples")
-        if self.wavelength <= 0:
-            raise DomainError("wavelength must be positive")
+        if not 0 < self.wavelength < math.inf:
+            raise DomainError("wavelength must be positive and finite")
         if self.visibility is not None and not 0.0 < self.visibility <= 1.0:
             raise DomainError("nominal visibility must lie in (0, 1]")
 
@@ -445,10 +445,11 @@ def synthetic_michelson_trace(
     seed: int = 0,
 ) -> MichelsonTrace:
     """Generate an ideal-interferometer trace covering ``n_fringes``."""
-    if gain <= 0 or n_fringes <= 0 or wavelength <= 0:
-        raise DomainError("gain, fringe count and wavelength must be positive")
-    if noise_rms < 0:
-        raise DomainError(f"intensity noise rms must not be negative, got {noise_rms:g}")
+    if not all(0 < x < math.inf for x in (gain, n_fringes, wavelength)):
+        raise DomainError("gain, fringe count and wavelength must be positive and finite")
+    if not 0 <= noise_rms < math.inf:
+        raise DomainError(f"intensity noise rms must be finite and not negative, "
+                          f"got {noise_rms:g}")
     span = n_fringes * (wavelength / 2.0) / gain
     v = np.linspace(0.0, span, n_points)
     intensity = mean_intensity * (

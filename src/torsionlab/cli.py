@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,14 +29,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INSTABILITY = 4
 
-# timeseries.csv / timeseries.json column -> NullMeasurementResult attribute
-LOOP_COLUMNS = {
-    "t_s": "t",
-    "error_mV": "error_mv",
-    "deltaV_V": "delta_v",
-    "theta_rad": "theta",
-    "F_ext_N": "applied_force",
-}
+# timeseries.csv / timeseries.json columns, one per NullMeasurementResult column
+LOOP_COLUMNS = ("t_s", "error_mV", "deltaV_V", "theta_rad", "F_ext_N")
 
 # sweep_fits.csv column and calibration_report.json position key -> ParabolaFit
 # attribute; the cells are empty (None) for a position whose fit failed
@@ -47,9 +42,15 @@ FIT_COLUMNS = {
 }
 POSITION_COLUMNS = ("d_r_m", *FIT_COLUMNS, "failed")
 
-# Rows of the loop record formatted at a time, in CSV and JSON: whole columns
-# of repr strings would add about 14 MB to a 30,000-step simulate's peak memory.
-CSV_BLOCK_ROWS = 4096
+# michelson options: what each sets, the values it allows, and their test
+MICHELSON_OPTIONS = (
+    ("--gain-nm-per-v", "PZT gain", "positive and finite", lambda x: 0.0 < x < math.inf),
+    ("--fringes", "fringe count", "positive and finite", lambda x: 0.0 < x < math.inf),
+    ("--visibility", "visibility", "in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    ("--points", "sample count", "at least 16", lambda x: x >= 16),
+    ("--noise", "intensity noise rms", "finite and not negative", lambda x: 0.0 <= x < math.inf),
+    ("--wavelength-nm", "wavelength", "positive and finite", lambda x: 0.0 < x < math.inf),
+)
 
 
 def _load(args) -> Scenario:
@@ -103,75 +104,75 @@ def _command(name: str):
 
 
 def _run_simulation(scenario: Scenario, position: float | None = None,
-                    applied_force: float | None = None, check_stability: bool = True):
-    from .control import run_null_measurement
+                    applied_force: float | None = None, check_stability: bool = True,
+                    record=None) -> tuple:
+    """Run the scenario's loop; return its steps and (steady δV, θ mean, θ rms).
+
+    ``record`` gets the loop record as control._closed_loop passes it.
+    """
+    from .control import _closed_loop, _prepare, _Run
     run = scenario.run
     forces = scenario.forces if scenario.forces.components else None
     gap = None if forces is None else GapState(
         run.contact_offset, run.position if position is None else position
     )
-    return run_null_measurement(
-        scenario.instrument,
-        scenario.pid,
-        run.duration,
-        run.dt,
-        forces=forces,
-        gap=gap,
-        applied_force=run.applied_force if applied_force is None else applied_force,
-        actuator_mode=scenario.actuator_mode,
-        thermal_noise=run.thermal_noise,
-        pzt_jitter=run.pzt_jitter,
-        temperature=scenario.forces.temperature,
-        seed=scenario.seed,
-        check_stability=check_stability,
-        delta_theta_min=run.delta_theta_min,
+    plant, n, k_ctrl = _prepare(
+        scenario.instrument, scenario.pid, run.duration, run.dt,
+        temperature=scenario.forces.temperature, thermal_noise=run.thermal_noise,
+        actuator_mode=scenario.actuator_mode, check_stability=check_stability,
     )
+    force = run.applied_force if applied_force is None else applied_force
+    (settled,) = _closed_loop(
+        scenario.instrument, scenario.pid, plant, run.dt, n,
+        [_Run(forces, gap, force, scenario.seed)], actuator_mode=scenario.actuator_mode,
+        k_ctrl=k_ctrl, pzt_jitter=run.pzt_jitter, delta_theta_min=run.delta_theta_min,
+        record=record,
+    )
+    return n, settled
 
 
-def _loop_blocks(result):
-    """The loop record, CSV_BLOCK_ROWS rows at a time: Python floats per LOOP_COLUMNS column."""
-    for start in range(0, len(result.t), CSV_BLOCK_ROWS):
-        stop = start + CSV_BLOCK_ROWS
-        yield [getattr(result, attr)[start:stop].tolist() for attr in LOOP_COLUMNS.values()]
-
-
-def write_loop_csv(result, path: Path) -> Path:
-    """_write_csv's bytes, formatted a column at a time, a block of rows at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
+def write_loop_csv(fh, k0: int, columns) -> None:
+    """_write_csv's rows for a block of LOOP_COLUMNS float columns; the header at step 0."""
+    if k0 == 0:
         fh.write(",".join(LOOP_COLUMNS) + "\n")
-        for columns in _loop_blocks(result):
-            cells = [map(repr, column) for column in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
-    return path
+    cells = [map(repr, column) for column in columns]
+    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def write_loop_json(result, path: Path) -> Path:
-    """_write_json's bytes for the list of row dicts: each row's own dump, one level in."""
+def write_loop_json(fh, k0: int, columns) -> None:
+    """_write_json's list of row dicts, a block at a time; the caller closes the list."""
     encode = json.JSONEncoder(indent=2, sort_keys=True).encode
-    rows = (encode(dict(zip(LOOP_COLUMNS, row))).replace("\n", "\n  ")
-            for columns in _loop_blocks(result) for row in zip(*columns))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n  " + next(rows))  # a run records at least 10 rows
-        fh.writelines(",\n  " + row for row in rows)
-        fh.write("\n]\n")
-    return path
+    rows = (encode(dict(zip(LOOP_COLUMNS, row))).replace("\n", "\n  ") for row in zip(*columns))
+    fh.write(("[\n  " if k0 == 0 else ",\n  ") + ",\n  ".join(rows))
 
 
 @_command("simulate")
 def cmd_simulate(args, scenario, out):
-    result = _run_simulation(scenario)
     write = write_loop_json if args.format == "json" else write_loop_csv
-    series = write(result, out / f"timeseries.{args.format}")
+    path = out / f"timeseries.{args.format}"
+    partial = path.with_name(path.name + ".part")  # a failed run leaves no time series
+
+    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+        write(fh, k0, (t, reading, delta_v, theta, f_ext))
+
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            n, (steady, theta_mean, theta_rms) = _run_simulation(scenario, record=record)
+            if args.format == "json":
+                fh.write("\n]\n")
+        series = partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
     summary = {
         "scenario_hash": scenario_hash(scenario),
         "seed": scenario.seed,
-        "steady_deltaV_V": result.steady_delta_v,
-        "settled_theta_mean_rad": result.settled_theta_mean,
-        "settled_theta_rms_rad": result.settled_theta_rms,
-        "samples": len(result.t),
+        "steady_deltaV_V": steady,
+        "settled_theta_mean_rad": theta_mean,
+        "settled_theta_rms_rad": theta_rms,
+        "samples": n,
     }
     return ([series, _write_json(out / "summary.json", summary)],
-            f"steady deltaV = {result.steady_delta_v:.6g} V over {len(result.t)} samples")
+            f"steady deltaV = {steady:.6g} V over {n} samples")
 
 
 def _position_record(p) -> dict:
@@ -280,6 +281,10 @@ def cmd_budget(args, scenario, out):
 def cmd_michelson(args, scenario, out):
     from .calibration import (michelson_calibrate, michelson_trace_from_csv,
                               synthetic_michelson_trace)
+    for option, what, allowed, ok in MICHELSON_OPTIONS:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if not ok(value):
+            raise ConfigError(f"{option}: the {what} must be {allowed}, got {value}")
     if args.input:
         trace = michelson_trace_from_csv(args.input, wavelength=args.wavelength_nm * 1e-9)
     elif args.synthetic:
@@ -318,11 +323,9 @@ def _sweep_point(payload) -> tuple:
     scenario, axis, index, value = payload
     child_seed = np.random.SeedSequence([scenario.seed, index]).generate_state(1)[0]
     scenario = replace(scenario, seed=int(child_seed))
-    if axis == "position":
-        result = _run_simulation(scenario, position=value, check_stability=False)
-    else:
-        result = _run_simulation(scenario, applied_force=value, check_stability=False)
-    return index, value, result.steady_delta_v, result.settled_theta_rms
+    key = "position" if axis == "position" else "applied_force"
+    _, (steady, _, theta_rms) = _run_simulation(scenario, check_stability=False, **{key: value})
+    return index, value, steady, theta_rms
 
 
 @_command("sweep --axis {axis}")
@@ -346,6 +349,13 @@ def cmd_sweep(args, scenario, out):
     header = ("index", unit, "steady_deltaV_V", "settled_theta_rms_rad")
     path = _write_csv(out / "sweep_summary.csv", header, rows)
     return [path], f"swept {len(rows)} {args.axis} value(s) -> {path}"
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mic.add_argument("--wavelength-nm", type=float, default=632.8)
     p_sw = command("sweep", cmd_sweep, "fan a simulation over positions or forces")
     p_sw.add_argument("--axis", choices=("position", "force"), default="position")
-    p_sw.add_argument("--workers", type=int, default=4)
+    p_sw.add_argument("--workers", type=_positive_int, default=4)
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,10 @@ DIVERGENCE_FACTOR = 100.0
 # Longest run and longest stability pre-check, in steps; the reference
 # instrument's pre-check needs 7,900.
 MAX_STEPS = 1_000_000
+
+# Steps the closed loop advances per draw of its normals and per call of its
+# record: what a run holds does not grow with its length.
+BLOCK_STEPS = 1024
 
 
 def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
@@ -117,7 +122,7 @@ def _load(run: _Run):
 def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams, dt: float,
                  n: int, runs, *, actuator_mode: str, k_ctrl: int = 1,
                  pzt_jitter: bool = False, delta_theta_min: float = math.inf,
-                 emit=None) -> list:
+                 record=None) -> list:
     """Advance ``len(runs)`` independent closed loops by ``n`` steps at once.
 
     Per step: PZT jitter and the force at the realized gap, quantized
@@ -127,42 +132,44 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     then thermal), so a run gives the same bits alone or in a batch. Runs
     differ only in load, seed and label, and either all have a gap or none
     has; a gap outside the PZT travel [0, pzt_range] raises DomainError with
-    or without jitter. ``emit(k, t, reading, delta_v, theta, omega, d_r, f_ext)``
-    sees every step: floats for one run, arrays for a batch. The loop
-    evaluates each run's ``forces.force_law``, which gives the total force
-    only. |theta| over 1 rad, or over 100x ``delta_theta_min`` after the
-    first third, raises InstabilityError naming the run.
-    Returns each run's steady readout, the mean δV over the final third.
+    or without jitter. The loop evaluates each run's ``forces.force_law``,
+    which gives the total force only. |theta| over 1 rad, or over 100x
+    ``delta_theta_min`` after the first third, raises InstabilityError
+    naming the run.
+
+    The loop steps in blocks of BLOCK_STEPS. Each block draws its normals and
+    computes its loads first, up to the first gap that raises; that error is
+    raised at its step. ``record(k0, t, reading, delta_v, theta, omega, d_r,
+    f_ext)`` gets each block from step ``k0`` on, up to any error: lists of
+    floats for one run, (steps, runs) arrays for a batch, ``t`` a list in
+    both. Returns each run's steady readout (mean δV) and θ mean and rms,
+    over the final third.
     """
     check_step(plant, dt)
     batch = len(runs)
     rnd, clamp, saturate, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS
     vector = (lambda values: values[0]) if batch == 1 else np.array
+    column = (lambda a: a[:, 0].tolist()) if batch == 1 else (lambda a: a)
+    table = (lambda values: values) if batch == 1 else np.array
 
     jitter = pzt_jitter and runs[0].gap is not None
     pzt_sigma = instrument.actuator.pzt_accuracy if jitter else 0.0
     kick_sigma = plant.thermal_sigma(dt)
-    sigmas = [s for s in (pzt_sigma, kick_sigma) if s > 0.0]
-    z = np.stack([np.random.default_rng(r.seed).standard_normal((n, len(sigmas)))
-                  for r in runs], axis=-1)
-    noise = [s * z[:, i] for i, s in enumerate(sigmas)]
-    if batch == 1:
-        noise = [a[:, 0].tolist() for a in noise]
-    pzt = noise.pop(0) if pzt_sigma > 0.0 else None
-    kick = noise.pop(0) if kick_sigma > 0.0 else None
+    draws = (pzt_sigma > 0.0) + (kick_sigma > 0.0)
+    rngs = [np.random.default_rng(r.seed) for r in runs]
 
     command = [r.gap.relative_position if r.gap is not None else 0.0 for r in runs]
     travel = instrument.actuator.pzt_range
     outside = [c for c in command if not 0.0 <= c <= travel]
     if outside:
         raise DomainError(f"PZT command d_r = {outside[0]:.6g} m lies outside [0, {travel:.6g}] m")
-    d_r = command = vector(command)
+    command = vector(command)
 
     loads = [_load(r) for r in runs]
     load = loads[0] if batch == 1 else (
         lambda d_r: np.array([f(x) for f, x in zip(loads, d_r.tolist())]))
 
-    f_ext = load(d_r)
+    held = load(command)
     sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
     kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
     feedback = _feedback_law(instrument.actuator, instrument.balance, actuator_mode, square)
@@ -170,45 +177,70 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     axx, axv, avx, avv = _propagator(alpha, plant.balance.moment_of_inertia, plant.gamma, dt)
     settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * delta_theta_min)
     start = n - n // 3
-    steady = np.empty((batch, n // 3))
+    settled = np.empty((2, batch, n // 3))  # δV and θ over the final third
+    settled_dv, settled_theta = settled
     theta = omega = integral = prev = vector([0.0] * batch)
     t = 0.0
-    for k in range(n):
-        if pzt is not None:
-            d_r = command + pzt[k]
-            f_ext = load(d_r)
-        reading = sens * theta * 1e6
-        if quant > 0.0:
-            reading = quant * rnd(reading / quant)
-        if k % k_ctrl == 0:
-            integral = clamp(integral + ki * reading * dt_ctrl, pid.integral_limit)
-            delta_v = saturate(
-                kp * reading + integral + kd * ((reading - prev) / dt_ctrl), pid.output_limit
-            )
-            prev = reading
-            fb = feedback(delta_v)
-        tau = f_ext * r_arm - fb
-        if kick is not None:
-            tau = tau + kick[k]
-        x_eq = tau / alpha
-        x = theta - x_eq
-        theta = x_eq + axx * x + axv * omega
-        omega = avx * x + avv * omega
-        t += dt
-        if k >= start:
-            steady[:, k - start] = delta_v
-        if emit is not None:
-            emit(k, t, reading, delta_v, theta, omega, d_r, f_ext)
-        limit = 1.0 if k <= settle_end else late
-        if not peak(theta) <= limit:
-            thetas = np.abs(np.atleast_1d(theta))
-            i = int(np.argmax(~(thetas <= limit)))
-            where = f" in the run at {runs[i].label}" if runs[i].label else ""
-            raise InstabilityError(
-                f"loop diverged at t = {t:.3g} s (|theta| = {thetas[i]:.3g} rad){where} "
-                f"with gains kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
-            )
-    return [float(np.mean(row)) for row in steady]
+    for k0 in range(0, n, BLOCK_STEPS):
+        m = min(BLOCK_STEPS, n - k0)
+        z = np.stack([g.standard_normal((m, draws)) for g in rngs], axis=-1)
+        kicks = column(kick_sigma * z[:, -1]) if kick_sigma > 0.0 else repeat(None)
+        d_rs, f_exts, error = [command] * m, [held] * m, None
+        if pzt_sigma > 0.0:
+            d_rs, f_exts = column(command + pzt_sigma * z[:, 0]), []
+            try:
+                for d_r in d_rs:
+                    f_exts.append(load(d_r))
+            except Exception as exc:  # raised below, when the loop reaches its step
+                error = exc
+        ts = list(accumulate(repeat(dt, len(f_exts)), initial=t))[1:]
+        readings, dvs, thetas, omegas = [], [], [], []
+        for k, f_ext, kick in zip(range(k0, n), f_exts, kicks):
+            reading = sens * theta * 1e6
+            if quant > 0.0:
+                reading = quant * rnd(reading / quant)
+            if k % k_ctrl == 0:
+                integral = clamp(integral + ki * reading * dt_ctrl, pid.integral_limit)
+                delta_v = saturate(
+                    kp * reading + integral + kd * ((reading - prev) / dt_ctrl), pid.output_limit
+                )
+                prev = reading
+                fb = feedback(delta_v)
+            tau = f_ext * r_arm - fb
+            if kick is not None:
+                tau = tau + kick
+            x_eq = tau / alpha
+            x = theta - x_eq
+            theta = x_eq + axx * x + axv * omega
+            omega = avx * x + avv * omega
+            if k >= start:
+                settled_dv[:, k - start] = delta_v
+                settled_theta[:, k - start] = theta
+            if record is not None:
+                readings.append(reading)
+                dvs.append(delta_v)
+                thetas.append(theta)
+                omegas.append(omega)
+            limit = 1.0 if k <= settle_end else late
+            if not peak(theta) <= limit:
+                abs_theta = np.abs(np.atleast_1d(theta))
+                i = int(np.argmax(~(abs_theta <= limit)))
+                where = f" in the run at {runs[i].label}" if runs[i].label else ""
+                error = InstabilityError(
+                    f"loop diverged at t = {ts[k - k0]:.3g} s (|theta| = {abs_theta[i]:.3g} rad)"
+                    f"{where} with gains kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
+                )
+                break
+        if record is not None:
+            stop = len(thetas)
+            record(k0, ts[:stop], table(readings), table(dvs), table(thetas), table(omegas),
+                   table(d_rs[:stop]), table(f_exts[:stop]))
+        if error is not None:
+            raise error
+        t = ts[-1]
+    # left to right: θ is squared in place after its mean is taken
+    return [(float(np.mean(dv)), float(np.mean(th)),
+             float(np.sqrt(np.mean(np.square(th, out=th))))) for dv, th in zip(*settled)]
 
 
 def _sample_steps(pid: PidConfig, dt: float) -> int:
@@ -240,22 +272,22 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
             f"or raise run.dt"
         )
     per = max(1, int(round(2.0 * plant.period / dt)))
-    theta = np.empty(n)
+    peaks = [0.0, 0.0]  # max |theta| over the first and over the last `per` steps
 
-    def emit(k, t, reading, delta_v, th, *_):
-        theta[k] = th
+    def record(k0, t, reading, delta_v, theta, *_):
+        peaks[0] = np.max(np.abs(theta[:max(per - k0, 0)]), initial=peaks[0])
+        peaks[1] = np.max(np.abs(theta[max(n - per - k0, 0):]), initial=peaks[1])
 
     open_loop = 100e-12 * instrument.balance.casimir_arm / plant.stiffness
     try:
         _closed_loop(instrument, pid, plant, dt, n, [_Run(applied_force=100e-12)],
-                     actuator_mode=actuator_mode, k_ctrl=_sample_steps(pid, dt), emit=emit)
+                     actuator_mode=actuator_mode, k_ctrl=_sample_steps(pid, dt), record=record)
     except InstabilityError:
         raise InstabilityError(
             f"loop diverged during stability pre-check with gains "
             f"kp={pid.kp}, ki={pid.ki}, kd={pid.kd}"
         ) from None
-    peak_early = float(np.max(np.abs(theta[:per])))
-    peak_late = float(np.max(np.abs(theta[n - per:])))
+    peak_early, peak_late = map(float, peaks)
     if (peak_late >= peak_early or peak_late > open_loop) and peak_late > 0.0:
         raise InstabilityError(
             f"loop does not regulate the test step (|theta| envelope "
@@ -335,24 +367,14 @@ def run_null_measurement(
         thermal_noise=thermal_noise, actuator_mode=actuator_mode,
         check_stability=check_stability,
     )
-    t_col, err_col, dv_col, th_col, f_col = np.empty((5, n))
+    columns = np.empty((5, n))
 
-    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext):
-        t_col[k], err_col[k], dv_col[k], th_col[k], f_col[k] = t, reading, delta_v, theta, f_ext
+    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+        columns[:, k0:k0 + len(t)] = t, reading, delta_v, theta, f_ext
 
-    (steady,) = _closed_loop(
+    ((steady, theta_mean, theta_rms),) = _closed_loop(
         instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],
         actuator_mode=actuator_mode, k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
-        delta_theta_min=delta_theta_min, emit=emit,
+        delta_theta_min=delta_theta_min, record=record,
     )
-    tail = slice(n - n // 3, n)
-    return NullMeasurementResult(
-        t=t_col,
-        error_mv=err_col,
-        delta_v=dv_col,
-        theta=th_col,
-        applied_force=f_col,
-        steady_delta_v=steady,
-        settled_theta_mean=float(np.mean(th_col[tail])),
-        settled_theta_rms=float(np.sqrt(np.mean(th_col[tail] ** 2))),
-    )
+    return NullMeasurementResult(*columns, steady, theta_mean, theta_rms)

@@ -195,14 +195,14 @@ def traced_run(instrument, pid, duration, dt, rows, *, forces=None, gap=None,
         actuator_mode=actuator_mode, check_stability=check_stability,
     )
 
-    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext):
-        rows.append(TraceRow(t=t, theta=theta, omega=omega, d_r=d_r, reading_mv=reading,
-                             forces={} if forces is None else total_force(
-                                 forces, GapState(gap.contact_offset, d_r)).components))
+    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+        for row in zip(t, theta, omega, d_r, reading):
+            rows.append(TraceRow(*row, forces={} if forces is None else total_force(
+                forces, GapState(gap.contact_offset, row[3])).components))
 
-    (steady,) = _closed_loop(
+    ((steady, _, _),) = _closed_loop(
         instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],
         actuator_mode=actuator_mode, k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
-        delta_theta_min=delta_theta_min, emit=emit,
+        delta_theta_min=delta_theta_min, record=record,
     )
     return steady

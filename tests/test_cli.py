@@ -2,9 +2,9 @@
 
 import concurrent.futures
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -68,39 +68,92 @@ class TestSimulate:
         assert rows[0].keys() == {"t_s", "error_mV", "deltaV_V", "theta_rad", "F_ext_N"}
 
     @staticmethod
-    def _blocked_record(monkeypatch, n=30):
+    def _write_blocks(write, path, n=30, block=7):
         # 30 rows in 7-row blocks: a short last block, block edges, signed
-        # zeros and full-precision floats. Returns the record and its rows.
+        # zeros and full-precision floats. Returns the rows.
         rng = np.random.default_rng(3)
-        columns = {
-            "t": np.arange(1, n + 1) * 0.05,
-            "error_mv": np.where(np.arange(n) % 3 == 0, -0.0, np.round(rng.normal(size=n), 1)),
-            "delta_v": rng.normal(scale=1e-2, size=n),
-            "theta": rng.normal(scale=1e-9, size=n),
-            "applied_force": np.full(n, 1e-10) + rng.normal(scale=1e-13, size=n),
-        }
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
-        rows = [[float(v) for v in row]
-                for row in zip(*(columns[a] for a in cli.LOOP_COLUMNS.values()))]
-        return SimpleNamespace(**columns), rows
+        columns = (
+            np.arange(1, n + 1) * 0.05,
+            np.where(np.arange(n) % 3 == 0, -0.0, np.round(rng.normal(size=n), 1)),
+            rng.normal(scale=1e-2, size=n),
+            rng.normal(scale=1e-9, size=n),
+            np.full(n, 1e-10) + rng.normal(scale=1e-13, size=n),
+        )
+        with open(path, "w", encoding="utf-8") as fh:
+            for k0 in range(0, n, block):
+                write(fh, k0, [c[k0:k0 + block].tolist() for c in columns])
+        return [[float(v) for v in row] for row in zip(*columns)]
 
-    def test_loop_csv_blocks_keep_the_cell_writer_bytes(self, tmp_path, monkeypatch):
+    def test_loop_csv_blocks_keep_the_cell_writer_bytes(self, tmp_path):
         # the blocks come out as _write_csv formats them one cell at a time
-        result, rows = self._blocked_record(monkeypatch)
-        cli.write_loop_csv(result, tmp_path / "blocks.csv")
+        rows = self._write_blocks(cli.write_loop_csv, tmp_path / "blocks.csv")
         cli._write_csv(tmp_path / "cells.csv", cli.LOOP_COLUMNS, rows)
         text = (tmp_path / "blocks.csv").read_text()
         assert text == (tmp_path / "cells.csv").read_text()
         assert len(text.splitlines()) == len(rows) + 1 and ",-0.0," in text
 
-    def test_loop_json_blocks_keep_the_whole_array_bytes(self, tmp_path, monkeypatch):
-        # the blocks come out as _write_json dumps the whole list of row dicts
-        result, rows = self._blocked_record(monkeypatch)
-        cli.write_loop_json(result, tmp_path / "blocks.json")
+    def test_loop_json_blocks_keep_the_whole_array_bytes(self, tmp_path):
+        # the blocks, closed by the caller, come out as _write_json dumps the
+        # whole list of row dicts
+        rows = self._write_blocks(cli.write_loop_json, tmp_path / "blocks.json")
+        with open(tmp_path / "blocks.json", "a", encoding="utf-8") as fh:
+            fh.write("\n]\n")
         cli._write_json(tmp_path / "whole.json", [dict(zip(cli.LOOP_COLUMNS, r)) for r in rows])
         text = (tmp_path / "blocks.json").read_text()
         assert text == (tmp_path / "whole.json").read_text()
         assert len(json.loads(text)) == len(rows) and '"error_mV": -0.0,' in text
+
+    # Runs that fail after writing at least one block of the time series: a
+    # 0.7 nm gap that 0.2 nm rms PZT jitter closes in the second block (every
+    # force is 0 N, so the loop stays quiet until then), and a divergence
+    # limit that thermal noise crosses at step 2,000, when the first third ends.
+    FAILING = {
+        "closing_gap": (EXIT_CONFIG, "forces.components = electrostatic, patch\n"
+                        "forces.applied_voltage = 20 mV\nforces.v0 = 20 mV\n"
+                        "forces.patch_rms = 0 V\nrun.contact_offset = 5.0007 um\n"
+                        "run.position = 5 um\nrun.pzt_jitter = true\nrun.duration = 300 s\n"),
+        "diverging": (EXIT_INSTABILITY, "run.duration = 300 s\nrun.thermal_noise = true\n"
+                      "run.delta_theta_min = 1e-15 rad\n"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failed_run_leaves_no_time_series(self, tmp_path, case, fmt):
+        code, text = self.FAILING[case]
+        cfg = _cfg(tmp_path, text)
+        out = tmp_path / "out"
+        writer = f"write_loop_{fmt}"
+        with mock.patch.object(cli, writer, wraps=getattr(cli, writer)) as write:
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--format", fmt]) == code
+        assert write.call_count >= 2  # a whole block, then the steps before the error
+        assert list(out.iterdir()) == []
+
+    def test_failed_run_keeps_an_earlier_time_series(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(_cfg(tmp_path, FAST_SIM)),
+                     "--out", str(out)]) == EXIT_OK
+        before = (out / "timeseries.csv").read_bytes()
+        cfg = _cfg(tmp_path, self.FAILING["diverging"][1], "diverging.cfg")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
+        assert (out / "timeseries.csv").read_bytes() == before
+        assert verify_manifest(out / "run_manifest.json") == []
+
+    def test_memory_does_not_grow_with_the_run(self, tmp_path):
+        # The record streams to timeseries.csv a block at a time. Only the final
+        # third's deltaV and theta stay, 16/3 bytes a step: 0.48 MB over 90,000 steps.
+        peaks = []
+        for steps in (10_000, 100_000):
+            cfg = _cfg(tmp_path, f"run.duration = {steps * 0.05:g} s\nrun.position = 8 um\n"
+                                 "run.thermal_noise = true\nrun.pzt_jitter = true\n")
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[1] - peaks[0] < 2 * 2**20
 
     def test_unstable_gains_exit_code(self, tmp_path):
         cfg = _cfg(tmp_path, FAST_SIM + "control.kp = -0.5 V/mV\n")
@@ -264,6 +317,45 @@ class TestMichelson:
         assert named in capsys.readouterr().err
         assert caught == []
 
+    # Without the option checks --noise nan gave a noiseless fit and exit 0, and
+    # the others a fit error and exit 3, the infinite noise and fringe count
+    # after a numpy RuntimeWarning.
+    BAD_OPTIONS = [("--noise", "nan"), ("--noise", "inf"), ("--fringes", "inf"),
+                   ("--fringes", "nan"), ("--gain-nm-per-v", "nan"), ("--gain-nm-per-v", "inf"),
+                   ("--wavelength-nm", "nan"), ("--wavelength-nm", "inf"), ("--points", "15")]
+
+    @pytest.mark.parametrize("option,value", BAD_OPTIONS)
+    def test_bad_synthetic_option_exits_2_and_names_it(self, tmp_path, capsys, option, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["michelson", "--synthetic", option, value,
+                         "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{option}:" in capsys.readouterr().err
+        assert caught == []
+
+    @staticmethod
+    def _trace_csv(tmp_path, samples):
+        volts = np.linspace(0.0, 20.0, samples)
+        intensity = 1000.0 * (1.0 + 0.9 * np.cos(4.0 * np.pi * 100e-9 * volts / 632.8e-9))
+        data = tmp_path / "trace.csv"
+        data.write_text("pzt_V,intensity\n" + "".join(
+            f"{v!r},{i!r}\n" for v, i in zip(volts.tolist(), intensity.tolist())))
+        return data
+
+    def test_input_wavelength_nan_exits_2_and_names_it(self, tmp_path, capsys):
+        # it gave "gain = nan nm/V" and exit 0
+        data = self._trace_csv(tmp_path, 200)
+        assert main(["michelson", "--input", str(data), "--wavelength-nm", "nan",
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "--wavelength-nm:" in capsys.readouterr().err
+
+    def test_short_input_trace_is_numerical_error(self, tmp_path):
+        # --points bounds the synthetic trace; a short measured trace is a fit error
+        data = self._trace_csv(tmp_path, 15)
+        assert main(["michelson", "--input", str(data),
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+
 
 class TestSweep:
     CFG = (
@@ -294,6 +386,16 @@ class TestSweep:
         main(["sweep", "--axis", "force", "--config", str(cfg), "--out", str(out2),
               "--workers", "1"])
         assert (out1 / "sweep_summary.csv").read_bytes() == (out2 / "sweep_summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2_and_names_the_option(self, tmp_path, capsys, workers):
+        # both ran serially and exited 0
+        cfg = _cfg(tmp_path, self.CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "force", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--workers", workers])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
 
     def test_missing_axis_values_is_config_error(self, tmp_path):
         cfg = _cfg(tmp_path, "run.duration = 40 s\n")

@@ -75,12 +75,11 @@ class TestThermalTorque:
         axx = _propagator(plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt)[0]
         theta = np.empty(len(seeds))
 
-        def emit(k, t, reading, delta_v, th, *_):
-            if k == 0:
-                theta[:] = th
+        def record(k0, t, reading, delta_v, th, *_):
+            theta[:] = th[0]
 
         _closed_loop(InstrumentSpec(balance=plant.balance), OPEN_LOOP, plant, dt, 3,
-                     [_Run(seed=s) for s in seeds], actuator_mode="linear", emit=emit)
+                     [_Run(seed=s) for s in seeds], actuator_mode="linear", record=record)
         return theta * plant.stiffness / (1.0 - axx)
 
     def test_zero_temperature_is_silent(self):

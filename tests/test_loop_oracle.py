@@ -30,7 +30,7 @@ from torsionlab import (
     torsion_constant,
     total_force,
 )
-from torsionlab.control import DIVERGENCE_FACTOR, _closed_loop, _prepare, _Run
+from torsionlab.control import BLOCK_STEPS, DIVERGENCE_FACTOR, _closed_loop, _prepare, _Run
 from torsionlab.errors import InstabilityError
 
 DT = 0.05
@@ -95,25 +95,26 @@ def scalar_loop(instrument, pid, duration, dt, *, forces=None, gap=None, applied
     return cols
 
 
-def kernel_batch(instrument, pid, runs, *, actuator_mode="linear", thermal_noise=False,
-                 pzt_jitter=False, delta_theta_min=1e-7, steps=None):
-    """The kernel's steady readouts and all five columns, shape (5, N, B), of a batch."""
+def kernel_batch(instrument, pid, runs, *, duration=DURATION, actuator_mode="linear",
+                 thermal_noise=False, pzt_jitter=False, delta_theta_min=1e-7, steps=None):
+    """The kernel's steady readouts and all five columns, shape (5, steps, B), of a batch."""
     plant, n, k_ctrl = _prepare(
-        instrument, pid, DURATION, DT, stiffness=None, temperature=300.0,
+        instrument, pid, duration, DT, stiffness=None, temperature=300.0,
         thermal_noise=thermal_noise, actuator_mode=actuator_mode, check_stability=False,
     )
     cols = np.empty((5, n, len(runs)))
 
-    def emit(k, t, reading, delta_v, theta, omega, d_r, f_ext):
-        for row, value in enumerate((t, reading, delta_v, theta, f_ext)):
-            cols[row, k] = value
+    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+        stop = k0 + len(t)
+        cols[0, k0:stop] = np.array(t)[:, None]
+        cols[1:, k0:stop] = reading, delta_v, theta, f_ext
         if steps is not None:
-            steps.append(k)
+            steps.extend(range(k0, stop))
 
-    steady = _closed_loop(instrument, pid, plant, DT, n, runs, actuator_mode=actuator_mode,
-                          k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
-                          delta_theta_min=delta_theta_min, emit=emit)
-    return steady, cols
+    settled = _closed_loop(instrument, pid, plant, DT, n, runs, actuator_mode=actuator_mode,
+                           k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
+                           delta_theta_min=delta_theta_min, record=record)
+    return [steady for steady, _, _ in settled], cols
 
 
 def grid_runs(seed=5):
@@ -129,38 +130,47 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-GRID = list(itertools.product(
+GRID = [pytest.param(*case, N, id="-".join(map(str, case))) for case in itertools.product(
     ("linear", "quadratic"),       # actuator mode
     (0.0, 0.1),                    # detector quantization, mV
     (False, True),                 # thermal noise
     (False, True),                 # PZT jitter
     (0.05, 0.15),                  # controller interval: k_ctrl = 1 and 3
-))
+)]
+# One noisy, jittered case at step counts around the kernel's block size. With
+# k_ctrl = 3 the controller's phase differs from one block to the next.
+GRID += [pytest.param("quadratic", 0.1, True, True, 0.15, steps,
+                      id=f"quadratic-0.1-True-True-0.15-{steps}steps")
+         for steps in (BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 1)]
 
 
-@pytest.mark.parametrize("mode,quant,thermal,jitter,interval", GRID)
-def test_kernel_matches_scalar_loop_bit_for_bit(mode, quant, thermal, jitter, interval):
+@pytest.mark.parametrize("mode,quant,thermal,jitter,interval,steps", GRID)
+def test_kernel_matches_scalar_loop_bit_for_bit(mode, quant, thermal, jitter, interval, steps):
     instrument = InstrumentSpec(detector=DetectorSpec(sensitivity=0.5, quantization=quant))
     pid = PidConfig(sample_interval=interval)
     settings = dict(actuator_mode=mode, thermal_noise=thermal, pzt_jitter=jitter,
                     delta_theta_min=1e-4)
+    duration = steps * DT
     runs = grid_runs()
-    oracle = [scalar_loop(instrument, pid, DURATION, DT, forces=r.forces, gap=r.gap,
+    oracle = [scalar_loop(instrument, pid, duration, DT, forces=r.forces, gap=r.gap,
                           seed=r.seed, **settings) for r in runs]
 
     # B = 1 through the public single-run API
-    single = run_null_measurement(instrument, pid, DURATION, DT, forces=runs[4].forces,
+    single = run_null_measurement(instrument, pid, duration, DT, forces=runs[4].forces,
                                   gap=runs[4].gap, seed=runs[4].seed,
                                   check_stability=False, **settings)
     got = (single.t, single.error_mv, single.delta_v, single.theta, single.applied_force)
     for column, want in zip(got, oracle[4]):
         assert bits(column) == bits(want)
+    tail = oracle[4][3][steps - steps // 3:]
+    assert (single.settled_theta_mean, single.settled_theta_rms) == (
+        float(np.mean(tail)), float(np.sqrt(np.mean(tail ** 2))))
 
     # B = 9 batch: every column of every run, and the steady readouts
-    steady, batch = kernel_batch(instrument, pid, runs, **settings)
+    steady, batch = kernel_batch(instrument, pid, runs, duration=duration, **settings)
     for b, want in enumerate(oracle):
         assert bits(batch[:, :, b]) == bits(want)
-    assert steady == [float(np.mean(c[2][N - N // 3:])) for c in oracle]
+    assert steady == [float(np.mean(c[2][steps - steps // 3:])) for c in oracle]
 
 
 UNSTABLE = PidConfig(kp=-0.5, ki=0.0, kd=0.0)
