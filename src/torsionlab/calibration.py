@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import CONSTANTS
-from .control import _closed_loop, _prepare, _Run
+from .control import _closed_loop, _Run
 from .errors import (
     ConvergenceError,
     DegenerateSweepError,
@@ -297,10 +297,6 @@ def run_electrostatic_calibration(
                 f"(d0 = {contact_offset:.3g} m)"
             )
 
-    plant, n, k_ctrl = _prepare(
-        instrument, pid, duration, dt, temperature=forces.temperature,
-        thermal_noise=thermal_noise, actuator_mode=actuator_mode,
-    )
     runs = [
         _Run(
             forces=replace(forces, voltages=replace(forces.voltages, applied=v)),
@@ -311,10 +307,12 @@ def run_electrostatic_calibration(
         for i, d_r in enumerate(positions)
         for j, v in enumerate(voltages)
     ]
-    steady = [readout for readout, _, _ in _closed_loop(
-        instrument, pid, plant, dt, n, runs, actuator_mode=actuator_mode, k_ctrl=k_ctrl,
-        pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
-    )]
+    _, settled = _closed_loop(
+        instrument, pid, duration, dt, runs, temperature=forces.temperature,
+        thermal_noise=thermal_noise, actuator_mode=actuator_mode, pzt_jitter=pzt_jitter,
+        delta_theta_min=delta_theta_min,
+    )
+    steady = [readout for readout, _, _ in settled]
     n_v = len(voltages)
     sweeps = [
         VoltageSweep(d_r=d_r, samples=tuple(zip(voltages, steady[i * n_v:(i + 1) * n_v])))

@@ -110,23 +110,19 @@ def _run_simulation(scenario: Scenario, position: float | None = None,
 
     ``record`` gets the loop record as control._closed_loop passes it.
     """
-    from .control import _closed_loop, _prepare, _Run
+    from .control import _closed_loop, _Run
     run = scenario.run
     forces = scenario.forces if scenario.forces.components else None
     gap = None if forces is None else GapState(
         run.contact_offset, run.position if position is None else position
     )
-    plant, n, k_ctrl = _prepare(
-        scenario.instrument, scenario.pid, run.duration, run.dt,
-        temperature=scenario.forces.temperature, thermal_noise=run.thermal_noise,
-        actuator_mode=scenario.actuator_mode, check_stability=check_stability,
-    )
     force = run.applied_force if applied_force is None else applied_force
-    (settled,) = _closed_loop(
-        scenario.instrument, scenario.pid, plant, run.dt, n,
-        [_Run(forces, gap, force, scenario.seed)], actuator_mode=scenario.actuator_mode,
-        k_ctrl=k_ctrl, pzt_jitter=run.pzt_jitter, delta_theta_min=run.delta_theta_min,
-        record=record,
+    n, (settled,) = _closed_loop(
+        scenario.instrument, scenario.pid, run.duration, run.dt,
+        [_Run(forces, gap, force, scenario.seed)], temperature=scenario.forces.temperature,
+        thermal_noise=run.thermal_noise, actuator_mode=scenario.actuator_mode,
+        pzt_jitter=run.pzt_jitter, delta_theta_min=run.delta_theta_min,
+        check_stability=check_stability, record=record,
     )
     return n, settled
 

@@ -12,6 +12,7 @@ a bias voltage.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import NamedTuple
@@ -119,17 +120,38 @@ def _load(run: _Run):
     return load
 
 
-def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams, dt: float,
-                 n: int, runs, *, actuator_mode: str, k_ctrl: int = 1,
-                 pzt_jitter: bool = False, delta_theta_min: float = math.inf,
-                 record=None) -> list:
-    """Advance ``len(runs)`` independent closed loops by ``n`` steps at once.
+def _step_count(duration: float, dt: float) -> int:
+    """Steps of a run: ``duration / dt`` rounded, at least 10 and at most MAX_STEPS."""
+    steps = duration / dt  # NaN, inf and 1e300 are rejected before any rounding
+    n = int(round(steps)) if steps <= MAX_STEPS + 1 else MAX_STEPS + 1
+    if n > MAX_STEPS:  # checked before anything is allocated
+        raise DomainError(
+            f"run.duration = {duration:.6g} s at run.dt = {dt:.6g} s needs {steps:.7g} "
+            f"steps, over the cap of {MAX_STEPS}; shorten run.duration or raise run.dt"
+        )
+    if n < 10:
+        raise DomainError("duration must cover at least 10 steps")
+    return n
 
-    Per step: PZT jitter and the force at the realized gap, quantized
-    detector read, PID update every ``k_ctrl`` steps, feedback torque, and
-    the exact propagator with a thermal kick. Each run draws its normals
-    from its own seed in the per-step order of the scalar stepper (PZT,
-    then thermal), so a run gives the same bits alone or in a batch. Runs
+
+def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt: float,
+                 runs, *, stiffness: float | None = None, temperature: float = 300.0,
+                 thermal_noise: bool = False, actuator_mode: str, pzt_jitter: bool = False,
+                 delta_theta_min: float = math.inf, check_stability: bool = True,
+                 record=None) -> tuple:
+    """Check a run's settings, then advance ``len(runs)`` closed loops at once.
+
+    The one entry to the loop. The plant is the instrument's balance on
+    ``stiffness`` (default: the fiber's) at ``temperature``, kicked each step
+    if ``thermal_noise``. The run takes ``_step_count(duration, dt)`` steps of
+    ``dt`` <= period/50, the PID samples every ``pid.sample_interval`` in whole
+    steps, and ``check_stability`` runs the pre-check before the first step.
+
+    Per step: PZT jitter (if ``pzt_jitter``) and the force at the realized
+    gap, quantized detector read, PID update, feedback torque in
+    ``actuator_mode``, and the exact propagator with the kick. Each run draws
+    its normals from its own seed in the per-step order of the scalar stepper
+    (PZT, then thermal), so a run gives the same bits alone or in a batch. Runs
     differ only in load, seed and label, and either all have a gap or none
     has; a gap outside the PZT travel [0, pzt_range] raises DomainError with
     or without jitter. The loop evaluates each run's ``forces.force_law``,
@@ -142,10 +164,21 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     raised at its step. ``record(k0, t, reading, delta_v, theta, omega, d_r,
     f_ext)`` gets each block from step ``k0`` on, up to any error: lists of
     floats for one run, (steps, runs) arrays for a batch, ``t`` a list in
-    both. Returns each run's steady readout (mean δV) and θ mean and rms,
-    over the final third.
+    both. Returns ``(n, settled)``: the step count and, per run, the steady
+    readout (mean δV) and θ mean and rms over the final third.
     """
+    if duration <= 0 or dt <= 0:
+        raise DomainError("duration and dt must be positive")
+    if actuator_mode not in ACTUATOR_MODES:
+        raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
+    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
+    plant = PlantParams(balance=instrument.balance, stiffness=alpha,
+                        temperature=temperature, thermal_noise=thermal_noise)
+    n = _step_count(duration, dt)
     check_step(plant, dt)
+    if check_stability:
+        stability_precheck(instrument, pid, dt, actuator_mode, alpha)
+    k_ctrl = max(1, int(round(pid.sample_interval / dt)))  # plant steps per controller sample
     batch = len(runs)
     rnd, clamp, saturate, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS
     vector = (lambda values: values[0]) if batch == 1 else np.array
@@ -173,7 +206,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
     sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
     kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
     feedback = _feedback_law(instrument.actuator, instrument.balance, actuator_mode, square)
-    r_arm, alpha = instrument.balance.casimir_arm, plant.stiffness
+    r_arm = instrument.balance.casimir_arm
     axx, axv, avx, avv = _propagator(alpha, plant.balance.moment_of_inertia, plant.gamma, dt)
     settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * delta_theta_min)
     start = n - n // 3
@@ -239,13 +272,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
             raise error
         t = ts[-1]
     # left to right: θ is squared in place after its mean is taken
-    return [(float(np.mean(dv)), float(np.mean(th)),
-             float(np.sqrt(np.mean(np.square(th, out=th))))) for dv, th in zip(*settled)]
-
-
-def _sample_steps(pid: PidConfig, dt: float) -> int:
-    """Plant steps per controller sample."""
-    return max(1, int(round(pid.sample_interval / dt)))
+    return n, [(float(np.mean(dv)), float(np.mean(th)),
+                float(np.sqrt(np.mean(np.square(th, out=th))))) for dv, th in zip(*settled)]
 
 
 def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
@@ -280,8 +308,9 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
 
     open_loop = 100e-12 * instrument.balance.casimir_arm / plant.stiffness
     try:
-        _closed_loop(instrument, pid, plant, dt, n, [_Run(applied_force=100e-12)],
-                     actuator_mode=actuator_mode, k_ctrl=_sample_steps(pid, dt), record=record)
+        _closed_loop(instrument, pid, n * dt, dt, [_Run(applied_force=100e-12)],
+                     stiffness=alpha, actuator_mode=actuator_mode, check_stability=False,
+                     record=record)
     except InstabilityError:
         raise InstabilityError(
             f"loop diverged during stability pre-check with gains "
@@ -308,30 +337,6 @@ class NullMeasurementResult:
     steady_delta_v: float
     settled_theta_mean: float
     settled_theta_rms: float
-
-
-def _prepare(instrument, pid, duration, dt, *, stiffness=None, temperature, thermal_noise,
-             actuator_mode, check_stability=True):
-    """Validate a run's settings; return (plant, steps, steps per controller sample)."""
-    if duration <= 0 or dt <= 0:
-        raise DomainError("duration and dt must be positive")
-    if actuator_mode not in ACTUATOR_MODES:
-        raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
-    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
-    plant = PlantParams(balance=instrument.balance, stiffness=alpha,
-                        temperature=temperature, thermal_noise=thermal_noise)
-    steps = duration / dt  # NaN, inf and 1e300 are rejected before any rounding
-    n = int(round(steps)) if steps <= MAX_STEPS + 1 else MAX_STEPS + 1
-    if n > MAX_STEPS:  # checked before anything is allocated
-        raise DomainError(
-            f"run.duration = {duration:.6g} s at run.dt = {dt:.6g} s needs {steps:.7g} "
-            f"steps, over the cap of {MAX_STEPS}; shorten run.duration or raise run.dt"
-        )
-    if n < 10:
-        raise DomainError("duration must cover at least 10 steps")
-    if check_stability:
-        stability_precheck(instrument, pid, dt, actuator_mode, alpha)
-    return plant, n, _sample_steps(pid, dt)
 
 
 def run_null_measurement(
@@ -362,19 +367,17 @@ def run_null_measurement(
     """
     if forces is not None and gap is None:
         raise DomainError("a gap state is required when a force model is enabled")
-    plant, n, k_ctrl = _prepare(
-        instrument, pid, duration, dt, stiffness=stiffness, temperature=temperature,
-        thermal_noise=thermal_noise, actuator_mode=actuator_mode,
-        check_stability=check_stability,
-    )
-    columns = np.empty((5, n))
+    columns = [array("d") for _ in range(5)]
 
     def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
-        columns[:, k0:k0 + len(t)] = t, reading, delta_v, theta, f_ext
+        for column, block in zip(columns, (t, reading, delta_v, theta, f_ext)):
+            column.extend(block)
 
-    ((steady, theta_mean, theta_rms),) = _closed_loop(
-        instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],
-        actuator_mode=actuator_mode, k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
-        delta_theta_min=delta_theta_min, record=record,
+    _, ((steady, theta_mean, theta_rms),) = _closed_loop(
+        instrument, pid, duration, dt, [_Run(forces, gap, applied_force, seed)],
+        stiffness=stiffness, temperature=temperature, thermal_noise=thermal_noise,
+        actuator_mode=actuator_mode, pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
+        check_stability=check_stability, record=record,
     )
-    return NullMeasurementResult(*columns, steady, theta_mean, theta_rms)
+    return NullMeasurementResult(*(np.frombuffer(c) for c in columns),
+                                 steady, theta_mean, theta_rms)

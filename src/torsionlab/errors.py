@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes (see cli.EXIT_CODES).
+The CLI maps these onto distinct exit codes (see the cli.EXIT_* constants).
 """
 
 

@@ -19,9 +19,9 @@ from .forces import (
     casimir_force_thermal,
     electrostatic_force_pfa,
     patch_force,
+    torsion_constant,
 )
 from .instrument import InstrumentSpec
-from .forces import torsion_constant
 
 __all__ = [
     "SensitivityReport",

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from torsionlab.constants import CONSTANTS
-from torsionlab.control import _closed_loop, _feedback_law, _prepare, _Run
+from torsionlab.control import _closed_loop, _feedback_law, _Run
 from torsionlab.dynamics import (PlantParams, _damping_coefficient, _propagator,
                                  _round_half_away, check_step)
 from torsionlab.errors import DomainError
@@ -190,19 +190,15 @@ def traced_run(instrument, pid, duration, dt, rows, *, forces=None, gap=None,
     Each row carries the per-component force breakdown at the realized gap,
     which the kernel does not compute. Returns the steady readout.
     """
-    plant, n, k_ctrl = _prepare(
-        instrument, pid, duration, dt, temperature=temperature, thermal_noise=thermal_noise,
-        actuator_mode=actuator_mode, check_stability=check_stability,
-    )
-
     def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
         for row in zip(t, theta, omega, d_r, reading):
             rows.append(TraceRow(*row, forces={} if forces is None else total_force(
                 forces, GapState(gap.contact_offset, row[3])).components))
 
-    ((steady, _, _),) = _closed_loop(
-        instrument, pid, plant, dt, n, [_Run(forces, gap, applied_force, seed)],
-        actuator_mode=actuator_mode, k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
-        delta_theta_min=delta_theta_min, record=record,
+    _, ((steady, _, _),) = _closed_loop(
+        instrument, pid, duration, dt, [_Run(forces, gap, applied_force, seed)],
+        temperature=temperature, thermal_noise=thermal_noise, actuator_mode=actuator_mode,
+        pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
+        check_stability=check_stability, record=record,
     )
     return steady

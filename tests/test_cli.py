@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from torsionlab import cli, control
+from torsionlab import GapState, cli, control, run_null_measurement
 from torsionlab.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_NUMERICAL, EXIT_OK, main
 from torsionlab.manifest import verify_manifest
 from torsionlab.scenario import Scenario, load_scenario
@@ -155,6 +155,31 @@ class TestSimulate:
             assert code == EXIT_OK
         assert peaks[1] - peaks[0] < 2 * 2**20
 
+    def test_matches_run_null_measurement(self, tmp_path):
+        # simulate maps the scenario onto the kernel's settings in its own call;
+        # run_null_measurement given the same settings must step the same run.
+        cfg = _cfg(tmp_path, "run.duration = 60 s\nrun.position = 8 um\n"
+                             "run.thermal_noise = true\nrun.pzt_jitter = true\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        scenario = load_scenario(cfg)
+        run = scenario.run
+        result = run_null_measurement(
+            scenario.instrument, scenario.pid, run.duration, run.dt, forces=scenario.forces,
+            gap=GapState(run.contact_offset, run.position), applied_force=run.applied_force,
+            actuator_mode=scenario.actuator_mode, thermal_noise=run.thermal_noise,
+            pzt_jitter=run.pzt_jitter, temperature=scenario.forces.temperature,
+            seed=scenario.seed, delta_theta_min=run.delta_theta_min)
+        columns = (result.t, result.error_mv, result.delta_v, result.theta,
+                   result.applied_force)
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1200
+        assert rows == [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["steady_deltaV_V"], summary["settled_theta_mean_rad"],
+                summary["settled_theta_rms_rad"]) == (
+            result.steady_delta_v, result.settled_theta_mean, result.settled_theta_rms)
+
     def test_unstable_gains_exit_code(self, tmp_path):
         cfg = _cfg(tmp_path, FAST_SIM + "control.kp = -0.5 V/mV\n")
         out = tmp_path / "out"
@@ -174,10 +199,13 @@ class TestSimulate:
         # sampled every 1 s: the pre-check must test the loop that will run.
         cfg = _cfg(tmp_path, "control.sample_interval = 1 s\nrun.forces = 100 pN\n"
                              "run.duration = 60 s\n")
-        with mock.patch.object(control, "_closed_loop", wraps=control._closed_loop) as loop:
+        # The kernel makes its generators only once it starts to step, so one
+        # call means the pre-check's own run stepped and no run stepped after it.
+        with mock.patch.object(control.np.random, "default_rng",
+                               wraps=control.np.random.default_rng) as rng:
             code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_INSTABILITY
-        assert loop.call_count == 1  # the pre-check's own run, no run step after it
+        assert rng.call_count == 1
         assert "test step" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):

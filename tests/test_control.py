@@ -1,5 +1,6 @@
 """Closed-loop null-measurement tests."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from torsionlab import (
     run_null_measurement,
     torsion_constant,
 )
-from torsionlab.control import MAX_STEPS, _feedback_law, _prepare
+from torsionlab.control import MAX_STEPS, _feedback_law, _step_count
 from torsionlab.errors import DomainError, InstabilityError
 from test_loop_oracle import scalar_loop
 
@@ -183,6 +184,25 @@ class TestNullMeasurement:
         with pytest.raises(InstabilityError, match="kp=-0.5"):
             run_null_measurement(IDEAL, bad, 60.0, 0.05, applied_force=1e-10)
 
+    def test_record_costs_little_more_than_its_columns(self):
+        # The record is collected a block at a time into the five columns it
+        # returns; a second full-size copy would double the peak. A short run
+        # first keeps the one-time cost of first use out of the peak.
+        steps = 100_000
+        _run(100e-12, duration=1.0, check_stability=False)
+        tracemalloc.start()
+        try:
+            result = _run(100e-12, duration=steps * 0.05, check_stability=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (result.t, result.error_mv, result.delta_v, result.theta,
+                   result.applied_force)
+        for column in columns:
+            assert column.dtype == np.float64 and len(column) == steps
+            assert column.flags.writeable
+        assert peak <= 1.5 * 5 * steps * 8
+
     def test_emission_hook_reports_rows(self):
         rows = []
         from torsionlab import ForceModelParams, GapState, SphereSpec, VoltageState
@@ -211,10 +231,7 @@ class TestStepCap:
     DT = PlantParams(balance=BALANCE, stiffness=torsion_constant(FiberSpec())).period / 100
 
     def _steps(self, duration):
-        _, n, _ = _prepare(InstrumentSpec(balance=self.BALANCE), PID, duration, self.DT,
-                           temperature=300.0, thermal_noise=True, actuator_mode="linear",
-                           check_stability=False)
-        return n
+        return _step_count(duration, self.DT)
 
     def test_accepts_exactly_the_cap(self):
         duration = 1_000_000 * self.DT

@@ -70,16 +70,18 @@ class TestThermalTorque:
     def _first_step_torques(plant, dt, seeds):
         # One step from rest under a held torque tau ends at tau / alpha * (1 - axx),
         # so each seed's first angle gives that run's first thermal torque sample.
-        # One zero-gain batch steps every seed's run on its own stream, for 3
-        # steps: the fewest whose final third holds a readout to average.
+        # One zero-gain batch steps every seed's run on its own stream, for 10
+        # steps: the fewest a run may take.
         axx = _propagator(plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt)[0]
         theta = np.empty(len(seeds))
 
         def record(k0, t, reading, delta_v, th, *_):
             theta[:] = th[0]
 
-        _closed_loop(InstrumentSpec(balance=plant.balance), OPEN_LOOP, plant, dt, 3,
-                     [_Run(seed=s) for s in seeds], actuator_mode="linear", record=record)
+        _closed_loop(InstrumentSpec(balance=plant.balance), OPEN_LOOP, 10 * dt, dt,
+                     [_Run(seed=s) for s in seeds], stiffness=plant.stiffness,
+                     temperature=plant.temperature, thermal_noise=plant.thermal_noise,
+                     actuator_mode="linear", check_stability=False, record=record)
         return theta * plant.stiffness / (1.0 - axx)
 
     def test_zero_temperature_is_silent(self):

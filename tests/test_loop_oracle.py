@@ -30,7 +30,7 @@ from torsionlab import (
     torsion_constant,
     total_force,
 )
-from torsionlab.control import BLOCK_STEPS, DIVERGENCE_FACTOR, _closed_loop, _prepare, _Run
+from torsionlab.control import BLOCK_STEPS, DIVERGENCE_FACTOR, _closed_loop, _Run
 from torsionlab.errors import InstabilityError
 
 DT = 0.05
@@ -98,23 +98,19 @@ def scalar_loop(instrument, pid, duration, dt, *, forces=None, gap=None, applied
 def kernel_batch(instrument, pid, runs, *, duration=DURATION, actuator_mode="linear",
                  thermal_noise=False, pzt_jitter=False, delta_theta_min=1e-7, steps=None):
     """The kernel's steady readouts and all five columns, shape (5, steps, B), of a batch."""
-    plant, n, k_ctrl = _prepare(
-        instrument, pid, duration, DT, stiffness=None, temperature=300.0,
-        thermal_noise=thermal_noise, actuator_mode=actuator_mode, check_stability=False,
-    )
-    cols = np.empty((5, n, len(runs)))
+    blocks = []
 
     def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
-        stop = k0 + len(t)
-        cols[0, k0:stop] = np.array(t)[:, None]
-        cols[1:, k0:stop] = reading, delta_v, theta, f_ext
+        t = np.repeat(np.array(t)[:, None], len(runs), axis=1)
+        blocks.append(np.stack([t, reading, delta_v, theta, f_ext]))
         if steps is not None:
-            steps.extend(range(k0, stop))
+            steps.extend(range(k0, k0 + len(t)))
 
-    settled = _closed_loop(instrument, pid, plant, DT, n, runs, actuator_mode=actuator_mode,
-                           k_ctrl=k_ctrl, pzt_jitter=pzt_jitter,
-                           delta_theta_min=delta_theta_min, record=record)
-    return [steady for steady, _, _ in settled], cols
+    _, settled = _closed_loop(instrument, pid, duration, DT, runs,
+                              thermal_noise=thermal_noise, actuator_mode=actuator_mode,
+                              pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
+                              check_stability=False, record=record)
+    return [steady for steady, _, _ in settled], np.concatenate(blocks, axis=1)
 
 
 def grid_runs(seed=5):
