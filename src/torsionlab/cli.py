@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +104,22 @@ def _command(name: str):
     return decorate
 
 
+def _scenario_loop(scenario: Scenario, runs, check_stability: bool = True, record=None) -> tuple:
+    """control._closed_loop on the scenario's instrument, gains and run settings.
+
+    With no runs it only checks those settings and, if ``check_stability``,
+    runs the pre-check.
+    """
+    from .control import _closed_loop
+    run = scenario.run
+    return _closed_loop(
+        scenario.instrument, scenario.pid, run.duration, run.dt, runs,
+        temperature=scenario.forces.temperature, thermal_noise=run.thermal_noise,
+        actuator_mode=scenario.actuator_mode, pzt_jitter=run.pzt_jitter,
+        delta_theta_min=run.delta_theta_min, check_stability=check_stability, record=record,
+    )
+
+
 def _run_simulation(scenario: Scenario, position: float | None = None,
                     applied_force: float | None = None, check_stability: bool = True,
                     record=None) -> tuple:
@@ -110,20 +127,15 @@ def _run_simulation(scenario: Scenario, position: float | None = None,
 
     ``record`` gets the loop record as control._closed_loop passes it.
     """
-    from .control import _closed_loop, _Run
+    from .control import _Run
     run = scenario.run
     forces = scenario.forces if scenario.forces.components else None
     gap = None if forces is None else GapState(
         run.contact_offset, run.position if position is None else position
     )
     force = run.applied_force if applied_force is None else applied_force
-    n, (settled,) = _closed_loop(
-        scenario.instrument, scenario.pid, run.duration, run.dt,
-        [_Run(forces, gap, force, scenario.seed)], temperature=scenario.forces.temperature,
-        thermal_noise=run.thermal_noise, actuator_mode=scenario.actuator_mode,
-        pzt_jitter=run.pzt_jitter, delta_theta_min=run.delta_theta_min,
-        check_stability=check_stability, record=record,
-    )
+    n, (settled,) = _scenario_loop(scenario, [_Run(forces, gap, force, scenario.seed)],
+                                   check_stability, record)
     return n, settled
 
 
@@ -324,6 +336,89 @@ def _sweep_point(payload) -> tuple:
     return index, value, steady, theta_rms
 
 
+def _fan_out_child(func, items, first: int, step: int, write: int) -> None:
+    """Body of a forked _fan_out child: run its stripe, send the outcome, exit.
+
+    The stripe is items ``first``, ``first + step``, ... in order, up to the
+    first exception. The child writes ``(results, (index, exception) or
+    None)`` to the pipe end ``write`` and exits 0 only once that is written.
+    It ends with os._exit, so it never returns into its caller's stack.
+    """
+    import pickle
+    status = 1
+    try:
+        results, error = [], None
+        for i in range(first, len(items), step):
+            try:
+                results.append(func(items[i]))
+            except Exception as exc:  # the parent raises it, in item order
+                error = (i, exc)
+                break
+        with open(write, "wb") as fh:
+            pickle.dump((results, error), fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(func, items, workers: int) -> list:
+    """``[func(item) for item in items]``, striped over up to ``workers`` forked children.
+
+    Child j of N = min(workers, len(items)) runs items j, j + N, ... (the
+    sweep's points all take the same steps, so stripes balance). The parent
+    reads every child's pipe and reaps every child, then raises the
+    exception of the earliest failing item, as the serial loop would. A
+    child that exits without sending its outcome fails at its first item
+    with a RuntimeError naming it and its items. With one worker, one item
+    or no os.fork the items run here. Call it with no other Python thread
+    running: a forked child gets only the thread that forked it.
+    """
+    n = min(workers, len(items))
+    if n <= 1 or not hasattr(os, "fork"):
+        return [func(item) for item in items]
+    import pickle
+    children = []  # (pid, read end of its pipe)
+    try:
+        for j in range(n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                # no read end may stay open here, or a parent that stops
+                # reading would leave a writer blocked instead of failing
+                for fd in (read, *(r for _, r in children)):
+                    os.close(fd)
+                _fan_out_child(func, items, j, n, write)
+            os.close(write)  # the child's copy is then the only one: EOF when it ends
+            children.append((pid, read))
+        sent = []
+        for _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    finally:
+        for _, read in children:
+            os.close(read)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    results, errors = [None] * len(items), []
+    for j, (data, status) in enumerate(zip(sent, statuses)):
+        if status != 0:
+            points = ", ".join(map(str, range(j, len(items), n)))
+            errors.append((j, RuntimeError(f"worker {j} of {n} (points {points}) exited with "
+                                           f"status {status} before sending its results")))
+            continue
+        stripe, error = pickle.loads(data)
+        results[j:j + n * len(stripe):n] = stripe
+        if error is not None:
+            errors.append(error)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
+
+
 @_command("sweep --axis {axis}")
 def cmd_sweep(args, scenario, out):
     run = scenario.run
@@ -331,16 +426,11 @@ def cmd_sweep(args, scenario, out):
     if not values:
         key = "run.positions" if args.axis == "position" else "run.forces"
         raise ConfigError(f"sweep over {args.axis} needs {key} in the scenario")
-    # The pre-check does not depend on the swept value: run it once here.
-    from .control import stability_precheck
-    stability_precheck(scenario.instrument, scenario.pid, run.dt, scenario.actuator_mode)
+    # The settings and the pre-check do not depend on the swept value: check
+    # them once here, before any point runs.
+    _scenario_loop(scenario, [])
     payloads = [(scenario, args.axis, i, v) for i, v in enumerate(values)]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(payloads))) as pool:
-            rows = list(pool.map(_sweep_point, payloads))  # map keeps payload order
-    else:
-        rows = [_sweep_point(p) for p in payloads]
+    rows = _fan_out(_sweep_point, payloads, args.workers)
     unit = "d_r_m" if args.axis == "position" else "F_ext_N"
     header = ("index", unit, "steady_deltaV_V", "settled_theta_rms_rad")
     path = _write_csv(out / "sweep_summary.csv", header, rows)

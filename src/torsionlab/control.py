@@ -165,7 +165,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     f_ext)`` gets each block from step ``k0`` on, up to any error: lists of
     floats for one run, (steps, runs) arrays for a batch, ``t`` a list in
     both. Returns ``(n, settled)``: the step count and, per run, the steady
-    readout (mean δV) and θ mean and rms over the final third.
+    readout (mean δV) and θ mean and rms over the final third. With no runs
+    it returns ``(n, [])`` after the checks and the pre-check, without stepping.
     """
     if duration <= 0 or dt <= 0:
         raise DomainError("duration and dt must be positive")
@@ -178,6 +179,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     check_step(plant, dt)
     if check_stability:
         stability_precheck(instrument, pid, dt, actuator_mode, alpha)
+    if not runs:
+        return n, []
     k_ctrl = max(1, int(round(pid.sample_interval / dt)))  # plant steps per controller sample
     batch = len(runs)
     rnd, clamp, saturate, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS

@@ -1,7 +1,8 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes."""
 
-import concurrent.futures
 import json
+import os
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -448,13 +449,6 @@ class TestSweep:
         assert steadys[0] < steadys[1] < steadys[2]
 
 
-def _sweep_point_and_its_scenario(payload):
-    """Pool worker: one sweep point's row and the scenario it simulated."""
-    with mock.patch.object(cli, "_run_simulation", wraps=cli._run_simulation) as run:
-        row = cli._sweep_point(payload)
-    return row, run.call_args.args[0]
-
-
 class TestSweepPointScenario:
     # 0.247 mV is one of the steps the flat form does not give back exactly.
     CFG = (
@@ -480,21 +474,119 @@ class TestSweepPointScenario:
         self._check(cfg, [c.args[0] for c in run.call_args_list])
 
     def test_pooled_point_runs_the_loaded_scenario(self, tmp_path, monkeypatch):
-        seen = []
+        # A forked worker shares no memory with this process: each point
+        # writes its process id and the scenario it simulated to a file.
+        point = cli._sweep_point
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                assert fn is cli._sweep_point
-                results = super().map(_sweep_point_and_its_scenario, *iterables, **kwargs)
-                for row, scenario in results:
-                    seen.append(scenario)
-                    yield row
+        def recording(payload):
+            with mock.patch.object(cli, "_run_simulation", wraps=cli._run_simulation) as run:
+                row = point(payload)
+            seen = (os.getpid(), run.call_args.args[0])
+            (tmp_path / f"seen-{payload[2]}.pkl").write_bytes(pickle.dumps(seen))
+            return row
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_sweep_point", recording)
         cfg = _cfg(tmp_path, self.CFG)
         assert main(["sweep", "--axis", "position", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--workers", "2"]) == EXIT_OK
+        pids, seen = zip(*(pickle.loads((tmp_path / f"seen-{i}.pkl").read_bytes())
+                           for i in range(2)))
+        assert len({*pids, os.getpid()}) == 3  # one child per point
         self._check(cfg, seen)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    FORCES = "run.duration = 40 s\nforces.components = \ndetector.quantization = 0 V\n"
+
+    def _sweep(self, tmp_path, forces, workers, name):
+        cfg = _cfg(tmp_path, self.FORCES + f"run.forces = {forces}\n")
+        out = tmp_path / name
+        code = main(["sweep", "--axis", "force", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers)])
+        return code, out
+
+    def test_every_worker_count_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        forces = "10 pN, 20 pN, 40 pN, 80 pN, 160 pN"
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+        code, serial = self._sweep(tmp_path, forces, 1, "serial")
+        assert code == EXIT_OK
+        assert not forks
+        for workers in (2, 3, 4, 9):
+            forks.clear()
+            code, out = self._sweep(tmp_path, forces, workers, f"w{workers}")
+            assert code == EXIT_OK
+            assert len(forks) == min(workers, 5)  # one child per point at most
+            assert ((out / "sweep_summary.csv").read_bytes()
+                    == (serial / "sweep_summary.csv").read_bytes())
+            _assert_no_child_left()
+
+    def test_without_fork_the_points_run_in_this_process(self, tmp_path, monkeypatch):
+        point, pids = cli._sweep_point, []
+        monkeypatch.setattr(cli, "_sweep_point", lambda p: pids.append(os.getpid()) or point(p))
+        monkeypatch.delattr(os, "fork")
+        code, out = self._sweep(tmp_path, "10 pN, 20 pN, 40 pN", 2, "o")
+        assert code == EXIT_OK
+        assert pids == [os.getpid()] * 3
+        assert len((out / "sweep_summary.csv").read_text().splitlines()) == 4
+
+    def test_point_that_diverges_in_a_child_fails_as_in_serial(self, tmp_path, capsys):
+        # Points 3 and 4 diverge, at different times. With two workers the
+        # child of points 0, 2, 4 fails too; the error of point 3 must win.
+        forces = "10 pN, 20 pN, 40 pN, 1000 uN, 2000 uN"
+        outcomes = []
+        for workers in (1, 2):
+            code, _ = self._sweep(tmp_path, forces, workers, f"w{workers}")
+            outcomes.append((code, capsys.readouterr().err))
+            _assert_no_child_left()
+        assert outcomes[0][0] == EXIT_INSTABILITY
+        assert outcomes[1] == outcomes[0]
+
+    def test_worker_that_dies_exits_1_and_is_named(self, tmp_path, capsys, monkeypatch):
+        point = cli._sweep_point
+
+        def dies_at_point_3(payload):
+            if payload[2] == 3:
+                os._exit(7)
+            return point(payload)
+
+        monkeypatch.setattr(cli, "_sweep_point", dies_at_point_3)
+        code, _ = self._sweep(tmp_path, "10 pN, 20 pN, 40 pN, 80 pN", 2, "o")
+        assert code == 1
+        assert "worker 1 of 2 (points 1, 3) exited with status 7" in capsys.readouterr().err
+        _assert_no_child_left()
+
+
+class TestSweepChecksSettingsAsSimulate:
+    # Each case: scenario text. The run's settings must be refused with the
+    # same first error, and the same exit code, as simulate refuses them.
+    CASES = {
+        "too_few_steps": "run.dt = 5 s\nrun.duration = 1 s\n",
+        "over_the_step_cap": "run.duration = 1e9 s\n",
+        "coarse_dt": "run.dt = 5 s\n",
+        "unstable_gains": "control.kp = -0.5 V/mV\n",
+        "slow_controller": "control.sample_interval = 1 s\n",
+        "precheck_over_the_cap": "fiber.diameter = 1e-30 m\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_error_and_exit_code(self, tmp_path, capsys, case):
+        cfg = _cfg(tmp_path, self.CASES[case] + "run.forces = 100 pN\n")
+        outcomes = []
+        for argv in (["simulate"], ["sweep", "--axis", "force", "--workers", "2"]):
+            with mock.patch.object(control.np.random, "default_rng",
+                                   wraps=control.np.random.default_rng) as rng:
+                code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+            outcomes.append((code, capsys.readouterr().err.splitlines()[0]))
+        assert outcomes[0][0] != EXIT_OK
+        assert outcomes[1] == outcomes[0]
+        if case == "over_the_step_cap":  # refused before the pre-check steps
+            assert rng.call_count == 0
 
 
 class TestOutputDir:

@@ -1,10 +1,11 @@
-"""Cold-start guard: the CLI's common commands load neither scipy nor the
+"""Cold-start guard: the CLI's common commands load neither scipy nor a
 process pool, and the math-only paths load no numpy.
 
 Every command is a fresh process, so an import on the CLI's path is paid
 on every run. Only ``michelson`` (``curve_fit``) and
-``decompose_residual(nonnegative=True)`` (``nnls``) need scipy, and only
-``sweep --workers N>1`` needs ``concurrent.futures.process``. ``import
+``decompose_residual(nonnegative=True)`` (``nnls``) need scipy.
+``sweep --workers N>1`` forks its workers with ``os.fork``, so no command
+loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
 on ``math`` alone. Each check runs in a new interpreter, because this test
 process may already hold those modules.
@@ -23,8 +24,8 @@ SRC = Path(torsionlab.__file__).resolve().parents[1]
 # Prints the heavy modules the snippet before it left in sys.modules.
 REPORT = (
     "import json, sys\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
-    " or m == 'concurrent.futures.process')))\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in"
+    " ('scipy', 'multiprocessing', 'concurrent'))))\n"
 )
 
 
@@ -71,6 +72,15 @@ def test_short_simulate_loads_no_scipy_and_no_pool(tmp_path):
     code = _cli_run("simulate", "--config", "short.cfg", "--out", "out")
     assert _heavy_modules_after(code, tmp_path) == []
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_forked_sweep_loads_no_pool(tmp_path):
+    (tmp_path / "scan.cfg").write_text("run.duration = 20 s\nforces.components = \n"
+                                       "run.forces = 10 pN, 100 pN\n")
+    code = _cli_run("sweep", "--axis", "force", "--config", "scan.cfg", "--workers", "2",
+                    "--out", "out")
+    assert _heavy_modules_after(code, tmp_path) == []
+    assert len((tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()) == 3
 
 
 def test_michelson_synthetic_exits_0_in_a_fresh_interpreter(tmp_path):
