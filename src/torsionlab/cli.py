@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,39 +105,24 @@ def _command(name: str):
     return decorate
 
 
-def _scenario_loop(scenario: Scenario, runs, check_stability: bool = True, record=None) -> tuple:
+def _scenario_loop(scenario: Scenario, runs=None, check_stability=True, record=None) -> tuple:
     """control._closed_loop on the scenario's instrument, gains and run settings.
 
-    With no runs it only checks those settings and, if ``check_stability``,
-    runs the pre-check.
+    ``runs`` defaults to the scenario's own run. With no runs it only checks
+    those settings and, if ``check_stability``, runs the pre-check.
     """
-    from .control import _closed_loop
+    from .control import _closed_loop, _Run
     run = scenario.run
+    if runs is None:
+        forces = scenario.forces if scenario.forces.components else None
+        gap = None if forces is None else GapState(run.contact_offset, run.position)
+        runs = [_Run(forces, gap, run.applied_force, scenario.seed)]
     return _closed_loop(
         scenario.instrument, scenario.pid, run.duration, run.dt, runs,
         temperature=scenario.forces.temperature, thermal_noise=run.thermal_noise,
         actuator_mode=scenario.actuator_mode, pzt_jitter=run.pzt_jitter,
         delta_theta_min=run.delta_theta_min, check_stability=check_stability, record=record,
     )
-
-
-def _run_simulation(scenario: Scenario, position: float | None = None,
-                    applied_force: float | None = None, check_stability: bool = True,
-                    record=None) -> tuple:
-    """Run the scenario's loop; return its steps and (steady δV, θ mean, θ rms).
-
-    ``record`` gets the loop record as control._closed_loop passes it.
-    """
-    from .control import _Run
-    run = scenario.run
-    forces = scenario.forces if scenario.forces.components else None
-    gap = None if forces is None else GapState(
-        run.contact_offset, run.position if position is None else position
-    )
-    force = run.applied_force if applied_force is None else applied_force
-    n, (settled,) = _scenario_loop(scenario, [_Run(forces, gap, force, scenario.seed)],
-                                   check_stability, record)
-    return n, settled
 
 
 def write_loop_csv(fh, k0: int, columns) -> None:
@@ -160,12 +146,12 @@ def cmd_simulate(args, scenario, out):
     path = out / f"timeseries.{args.format}"
     partial = path.with_name(path.name + ".part")  # a failed run leaves no time series
 
-    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+    def record(k0, t, reading, delta_v, theta, d_r, f_ext):
         write(fh, k0, (t, reading, delta_v, theta, f_ext))
 
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            n, (steady, theta_mean, theta_rms) = _run_simulation(scenario, record=record)
+            n, ((steady, theta_mean, theta_rms),) = _scenario_loop(scenario, record=record)
             if args.format == "json":
                 fh.write("\n]\n")
         series = partial.replace(path)
@@ -330,9 +316,9 @@ def _sweep_point(payload) -> tuple:
     import numpy as np
     scenario, axis, index, value = payload
     child_seed = np.random.SeedSequence([scenario.seed, index]).generate_state(1)[0]
-    scenario = replace(scenario, seed=int(child_seed))
     key = "position" if axis == "position" else "applied_force"
-    _, (steady, _, theta_rms) = _run_simulation(scenario, check_stability=False, **{key: value})
+    scenario = replace(scenario, seed=int(child_seed), run=replace(scenario.run, **{key: value}))
+    _, ((steady, _, theta_rms),) = _scenario_loop(scenario, check_stability=False)
     return index, value, steady, theta_rms
 
 
@@ -340,22 +326,29 @@ def _fan_out_child(func, items, first: int, step: int, write: int) -> None:
     """Body of a forked _fan_out child: run its stripe, send the outcome, exit.
 
     The stripe is items ``first``, ``first + step``, ... in order, up to the
-    first exception. The child writes ``(results, (index, exception) or
-    None)`` to the pipe end ``write`` and exits 0 only once that is written.
-    It ends with os._exit, so it never returns into its caller's stack.
+    first exception. Warnings are recorded under the inherited filters, so
+    each distinct one is kept once, as ``(index, text, category, filename,
+    lineno)`` of the item that raised it. The child writes ``(results,
+    warned, (index, exception) or None)`` to the pipe end ``write`` and exits
+    0 only once that is written. It ends with os._exit, so it never returns
+    into its caller's stack.
     """
     import pickle
     status = 1
     try:
-        results, error = [], None
-        for i in range(first, len(items), step):
-            try:
-                results.append(func(items[i]))
-            except Exception as exc:  # the parent raises it, in item order
-                error = (i, exc)
-                break
+        results, warned, error = [], [], None
+        with warnings.catch_warnings(record=True) as caught:
+            for i in range(first, len(items), step):
+                try:
+                    results.append(func(items[i]))
+                except Exception as exc:  # the parent raises it, in item order
+                    error = (i, exc)
+                warned += [(i, str(w.message), w.category, w.filename, w.lineno) for w in caught]
+                caught.clear()
+                if error is not None:
+                    break
         with open(write, "wb") as fh:
-            pickle.dump((results, error), fh)
+            pickle.dump((results, warned, error), fh)
         status = 0
     finally:
         os._exit(status)
@@ -366,12 +359,16 @@ def _fan_out(func, items, workers: int) -> list:
 
     Child j of N = min(workers, len(items)) runs items j, j + N, ... (the
     sweep's points all take the same steps, so stripes balance). The parent
-    reads every child's pipe and reaps every child, then raises the
-    exception of the earliest failing item, as the serial loop would. A
-    child that exits without sending its outcome fails at its first item
-    with a RuntimeError naming it and its items. With one worker, one item
-    or no os.fork the items run here. Call it with no other Python thread
-    running: a forked child gets only the thread that forked it.
+    reads every child's pipe and reaps every child. It then replays, in item
+    order, the children's warnings of the items up to the earliest failing
+    one, and raises that item's exception, as the serial loop would. Each
+    warning goes through ``warnings.warn_explicit`` against the registry of
+    the module that raised it, so this process's filters show it as a serial
+    run would, whatever the worker count. A child that exits without sending
+    its outcome fails at its first item with a RuntimeError naming it and its
+    items. With one worker, one item or no os.fork the items run here. Call
+    it with no other Python thread running: a forked child gets only the
+    thread that forked it.
     """
     n = min(workers, len(items))
     if n <= 1 or not hasattr(os, "fork"):
@@ -403,19 +400,29 @@ def _fan_out(func, items, workers: int) -> list:
         for _, read in children:
             os.close(read)
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    results, errors = [None] * len(items), []
+    results, warned, errors = [None] * len(items), [], []
     for j, (data, status) in enumerate(zip(sent, statuses)):
         if status != 0:
             points = ", ".join(map(str, range(j, len(items), n)))
             errors.append((j, RuntimeError(f"worker {j} of {n} (points {points}) exited with "
                                            f"status {status} before sending its results")))
             continue
-        stripe, error = pickle.loads(data)
+        stripe, stripe_warned, error = pickle.loads(data)
         results[j:j + n * len(stripe):n] = stripe
+        warned += stripe_warned
         if error is not None:
             errors.append(error)
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
+    last, error = min(errors, key=lambda e: e[0]) if errors else (len(items), None)
+    modules = {m.__file__: vars(m) for m in list(sys.modules.values())
+               if getattr(m, "__file__", None)}
+    for i, text, category, filename, lineno in sorted(warned, key=lambda w: w[0]):
+        if i <= last:
+            module = modules.get(filename, {})
+            warnings.warn_explicit(text, category, filename, lineno,
+                                   module.get("__name__", "<string>"),
+                                   module.setdefault("__warningregistry__", {}))
+    if error is not None:
+        raise error
     return results
 
 

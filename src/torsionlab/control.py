@@ -29,7 +29,6 @@ from .instrument import (ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, In
 __all__ = [
     "PidConfig",
     "NullMeasurementResult",
-    "stability_precheck",
     "run_null_measurement",
 ]
 
@@ -161,12 +160,12 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
 
     The loop steps in blocks of BLOCK_STEPS. Each block draws its normals and
     computes its loads first, up to the first gap that raises; that error is
-    raised at its step. ``record(k0, t, reading, delta_v, theta, omega, d_r,
-    f_ext)`` gets each block from step ``k0`` on, up to any error: lists of
-    floats for one run, (steps, runs) arrays for a batch, ``t`` a list in
-    both. Returns ``(n, settled)``: the step count and, per run, the steady
-    readout (mean δV) and θ mean and rms over the final third. With no runs
-    it returns ``(n, [])`` after the checks and the pre-check, without stepping.
+    raised at its step. ``record(k0, t, reading, delta_v, theta, d_r, f_ext)``
+    gets each block from step ``k0`` on, up to any error: lists of floats for
+    one run, (steps, runs) arrays for a batch, ``t`` a list in both. Returns
+    ``(n, settled)``: the step count and, per run, the steady readout (mean δV)
+    and θ mean and rms over the final third. With no runs it returns
+    ``(n, [])`` after the checks and the pre-check, without stepping.
     """
     if duration <= 0 or dt <= 0:
         raise DomainError("duration and dt must be positive")
@@ -178,7 +177,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     n = _step_count(duration, dt)
     check_step(plant, dt)
     if check_stability:
-        stability_precheck(instrument, pid, dt, actuator_mode, alpha)
+        _stability_precheck(instrument, pid, plant, dt, actuator_mode)
     if not runs:
         return n, []
     k_ctrl = max(1, int(round(pid.sample_interval / dt)))  # plant steps per controller sample
@@ -230,7 +229,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
             except Exception as exc:  # raised below, when the loop reaches its step
                 error = exc
         ts = list(accumulate(repeat(dt, len(f_exts)), initial=t))[1:]
-        readings, dvs, thetas, omegas = [], [], [], []
+        readings, dvs, thetas = [], [], []
         for k, f_ext, kick in zip(range(k0, n), f_exts, kicks):
             reading = sens * theta * 1e6
             if quant > 0.0:
@@ -256,7 +255,6 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
                 readings.append(reading)
                 dvs.append(delta_v)
                 thetas.append(theta)
-                omegas.append(omega)
             limit = 1.0 if k <= settle_end else late
             if not peak(theta) <= limit:
                 abs_theta = np.abs(np.atleast_1d(theta))
@@ -269,7 +267,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
                 break
         if record is not None:
             stop = len(thetas)
-            record(k0, ts[:stop], table(readings), table(dvs), table(thetas), table(omegas),
+            record(k0, ts[:stop], table(readings), table(dvs), table(thetas),
                    table(d_rs[:stop]), table(f_exts[:stop]))
         if error is not None:
             raise error
@@ -279,9 +277,9 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
                 float(np.sqrt(np.mean(np.square(th, out=th))))) for dv, th in zip(*settled)]
 
 
-def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
-                       actuator_mode: str = "linear", stiffness: float | None = None) -> None:
-    """Short noiseless step-response run; raises if the loop diverges.
+def _stability_precheck(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
+                        dt: float, actuator_mode: str) -> None:
+    """Short noiseless step-response run on ``plant``'s stiffness; raises if the loop diverges.
 
     A 100 pN step is applied for six natural periods, with the controller
     sampling at ``pid.sample_interval`` as in the run. The angle envelope
@@ -291,9 +289,6 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
     quantization and output saturation) is just as unusable as outright
     divergence.
     """
-    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
-    plant = PlantParams(balance=instrument.balance, stiffness=alpha)
-    check_step(plant, dt)
     n = int(round(6.0 * plant.period / dt))
     if n > MAX_STEPS:
         raise DomainError(
@@ -312,7 +307,7 @@ def stability_precheck(instrument: InstrumentSpec, pid: PidConfig, dt: float,
     open_loop = 100e-12 * instrument.balance.casimir_arm / plant.stiffness
     try:
         _closed_loop(instrument, pid, n * dt, dt, [_Run(applied_force=100e-12)],
-                     stiffness=alpha, actuator_mode=actuator_mode, check_stability=False,
+                     stiffness=plant.stiffness, actuator_mode=actuator_mode, check_stability=False,
                      record=record)
     except InstabilityError:
         raise InstabilityError(
@@ -372,7 +367,7 @@ def run_null_measurement(
         raise DomainError("a gap state is required when a force model is enabled")
     columns = [array("d") for _ in range(5)]
 
-    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+    def record(k0, t, reading, delta_v, theta, d_r, f_ext):
         for column, block in zip(columns, (t, reading, delta_v, theta, f_ext)):
             column.extend(block)
 

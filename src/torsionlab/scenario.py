@@ -166,8 +166,8 @@ class Scenario:
                 )
 
     def to_flat(self) -> dict:
-        """Flat dotted-key dict of resolved SI values; ``from_flat`` inverts it
-        to a scenario with the same flat form and hash."""
+        """Flat dotted-key dict of resolved SI values: the canonical form
+        that ``scenario_hash`` digests."""
         flat = {}
         for key, (kind, path, *scale) in KEYS.items():
             if path is None:
@@ -179,10 +179,6 @@ class Scenario:
                 value = value * scale[1]
             flat[key] = value
         return flat
-
-    @staticmethod
-    def from_flat(values: dict) -> "Scenario":
-        return _build_scenario(values, flat=True)
 
 
 # Attribute path -> (name in error messages, constructor), children first.
@@ -307,8 +303,8 @@ def load_scenario(path) -> Scenario:
     return parse_scenario_text(text, source=str(path))
 
 
-def _build_scenario(values: dict, source: str = "<config>", flat: bool = False) -> Scenario:
-    """Scenario from parsed or flat values; keys left out keep their defaults."""
+def _build_scenario(values: dict, source: str = "<config>") -> Scenario:
+    """Scenario from parsed values; keys left out keep their defaults."""
     preset = values.get("sphere.preset")
     if preset is not None:
         if preset not in SPHERE_PRESETS:
@@ -330,8 +326,8 @@ def _build_scenario(values: dict, source: str = "<config>", flat: bool = False) 
             continue
         if kind.startswith("list:"):
             value = tuple(value)
-        elif scale:  # (v / out) * out == v keeps the hash; (v * in) * out may not
-            value = value / scale[1] if flat else value * scale[0]
+        elif scale:
+            value = value * scale[0]
         parent, _, name = path.rpartition(".")
         arguments[parent][name] = value
     for path, (name, constructor) in _SECTIONS.items():

@@ -68,7 +68,6 @@ class TraceRow(NamedTuple):
 
     t: float
     theta: float
-    omega: float
     d_r: float
     reading_mv: float
     forces: dict
@@ -190,10 +189,10 @@ def traced_run(instrument, pid, duration, dt, rows, *, forces=None, gap=None,
     Each row carries the per-component force breakdown at the realized gap,
     which the kernel does not compute. Returns the steady readout.
     """
-    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
-        for row in zip(t, theta, omega, d_r, reading):
+    def record(k0, t, reading, delta_v, theta, d_r, f_ext):
+        for row in zip(t, theta, d_r, reading):
             rows.append(TraceRow(*row, forces={} if forces is None else total_force(
-                forces, GapState(gap.contact_offset, row[3])).components))
+                forces, GapState(gap.contact_offset, row[2])).components))
 
     _, ((steady, _, _),) = _closed_loop(
         instrument, pid, duration, dt, [_Run(forces, gap, applied_force, seed)],

@@ -3,9 +3,12 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from torsionlab import GapState, cli, control, run_null_measurement
 from torsionlab.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_NUMERICAL, EXIT_OK, main
 from torsionlab.manifest import verify_manifest
-from torsionlab.scenario import Scenario, load_scenario
+from torsionlab.scenario import load_scenario
 
 FAST_SIM = (
     "run.duration = 60 s\n"
@@ -450,28 +453,37 @@ class TestSweep:
 
 
 class TestSweepPointScenario:
-    # 0.247 mV is one of the steps the flat form does not give back exactly.
+    # 0.247 mV is one of the steps that a copy through SI volts (x 1e-3, then
+    # / 1e-3) does not give back exactly: a point must get the loaded scenario.
     CFG = (
         "run.duration = 20 s\n"
         "detector.quantization = 0.247 mV\n"
         "run.contact_offset = 10 um\n"
         "run.positions = 2 um, 5 um\n"
+        "run.forces = 10 pN, 20 pN\n"
     )
+    # --axis -> (run list it sweeps, run field each point sets)
+    AXES = {"position": ("positions", "position"), "force": ("forces", "applied_force")}
 
-    def _check(self, cfg, seen):
+    def _check(self, cfg, axis, seen):
         loaded = load_scenario(cfg)
-        assert Scenario.from_flat(loaded.to_flat()) != loaded  # the hazard is present
-        assert len(seen) == len(loaded.run.positions)
-        for index, scenario in enumerate(seen):
+        swept, key = self.AXES[axis]
+        values = getattr(loaded.run, swept)
+        assert len(seen) == len(values)
+        for index, (scenario, value) in enumerate(zip(seen, values)):
             child = np.random.SeedSequence([loaded.seed, index]).generate_state(1)[0]
-            assert scenario == replace(loaded, seed=int(child))
+            assert scenario == replace(loaded, seed=int(child),
+                                       run=replace(loaded.run, **{key: value}))
 
     def test_serial_point_runs_the_loaded_scenario(self, tmp_path):
         cfg = _cfg(tmp_path, self.CFG)
-        with mock.patch.object(cli, "_run_simulation", wraps=cli._run_simulation) as run:
-            assert main(["sweep", "--axis", "position", "--config", str(cfg),
-                         "--out", str(tmp_path / "o"), "--workers", "1"]) == EXIT_OK
-        self._check(cfg, [c.args[0] for c in run.call_args_list])
+        for axis in self.AXES:
+            with mock.patch.object(cli, "_scenario_loop", wraps=cli._scenario_loop) as loop:
+                assert main(["sweep", "--axis", axis, "--config", str(cfg),
+                             "--out", str(tmp_path / axis), "--workers", "1"]) == EXIT_OK
+            checks, *points = loop.call_args_list
+            assert checks.args == (load_scenario(cfg), [])  # the settings, before any point
+            self._check(cfg, axis, [c.args[0] for c in points])
 
     def test_pooled_point_runs_the_loaded_scenario(self, tmp_path, monkeypatch):
         # A forked worker shares no memory with this process: each point
@@ -479,20 +491,21 @@ class TestSweepPointScenario:
         point = cli._sweep_point
 
         def recording(payload):
-            with mock.patch.object(cli, "_run_simulation", wraps=cli._run_simulation) as run:
+            with mock.patch.object(cli, "_scenario_loop", wraps=cli._scenario_loop) as loop:
                 row = point(payload)
-            seen = (os.getpid(), run.call_args.args[0])
-            (tmp_path / f"seen-{payload[2]}.pkl").write_bytes(pickle.dumps(seen))
+            seen = (os.getpid(), loop.call_args.args[0])
+            (tmp_path / f"seen-{payload[1]}-{payload[2]}.pkl").write_bytes(pickle.dumps(seen))
             return row
 
         monkeypatch.setattr(cli, "_sweep_point", recording)
         cfg = _cfg(tmp_path, self.CFG)
-        assert main(["sweep", "--axis", "position", "--config", str(cfg),
-                     "--out", str(tmp_path / "o"), "--workers", "2"]) == EXIT_OK
-        pids, seen = zip(*(pickle.loads((tmp_path / f"seen-{i}.pkl").read_bytes())
-                           for i in range(2)))
-        assert len({*pids, os.getpid()}) == 3  # one child per point
-        self._check(cfg, seen)
+        for axis in self.AXES:
+            assert main(["sweep", "--axis", axis, "--config", str(cfg),
+                         "--out", str(tmp_path / axis), "--workers", "2"]) == EXIT_OK
+            pids, seen = zip(*(pickle.loads((tmp_path / f"seen-{axis}-{i}.pkl").read_bytes())
+                               for i in range(2)))
+            assert len({*pids, os.getpid()}) == 3  # one child per point
+            self._check(cfg, axis, seen)
 
 
 def _assert_no_child_left():
@@ -525,6 +538,28 @@ class TestFanOut:
             assert ((out / "sweep_summary.csv").read_bytes()
                     == (serial / "sweep_summary.csv").read_bytes())
             _assert_no_child_left()
+
+    def test_stderr_does_not_depend_on_workers(self, tmp_path):
+        # Each point warns at every step with the same text. Fresh processes,
+        # because this one's warning registry may already hold the warning.
+        cfg = _cfg(tmp_path, "forces.components = casimir_ideal\nsphere.radius = 20 um\n"
+                             "run.contact_offset = 10 um\n"
+                             "run.positions = 7.99 um, 7.995 um, 7.999 um, 7.9995 um\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        outcomes = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "torsionlab.cli", "sweep", "--config", str(cfg),
+                 "--out", str(out), "--workers", str(workers)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outcomes.append((proc.stderr, (out / "sweep_summary.csv").read_bytes()))
+        assert outcomes[0][0].count("PfaValidityWarning") == 1
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
     def test_without_fork_the_points_run_in_this_process(self, tmp_path, monkeypatch):
         point, pids = cli._sweep_point, []

@@ -100,7 +100,7 @@ def kernel_batch(instrument, pid, runs, *, duration=DURATION, actuator_mode="lin
     """The kernel's steady readouts and all five columns, shape (5, steps, B), of a batch."""
     blocks = []
 
-    def record(k0, t, reading, delta_v, theta, omega, d_r, f_ext):
+    def record(k0, t, reading, delta_v, theta, d_r, f_ext):
         t = np.repeat(np.array(t)[:, None], len(runs), axis=1)
         blocks.append(np.stack([t, reading, delta_v, theta, f_ext]))
         if steps is not None:
