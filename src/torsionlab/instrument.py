@@ -24,7 +24,6 @@ __all__ = [
     "SPHERE_PRESETS",
     "PidConfig",
     "ACTUATOR_MODES",
-    "default_inertia",
 ]
 
 
@@ -48,11 +47,6 @@ class FiberSpec:
             )
 
 
-def default_inertia(mass: float, casimir_arm: float) -> float:
-    """Uniform-rod moment of inertia for a beam of half-length casimir_arm."""
-    return mass * (2.0 * casimir_arm) ** 2 / 12.0
-
-
 @dataclass(frozen=True)
 class BalanceSpec:
     """Balance body: mass, lever arms, swing length, inertia, damping."""
@@ -70,7 +64,7 @@ class BalanceSpec:
         if self.quality_factor <= 0:
             raise DomainError("quality factor must be positive")
         try:
-            rod = default_inertia(self.mass, self.casimir_arm)
+            rod = self.mass * (2.0 * self.casimir_arm) ** 2 / 12.0  # uniform rod
         except OverflowError:  # (2 * casimir_arm)**2 beyond float range
             raise DomainError(f"rod moment of inertia overflows for balance.casimir_arm = "
                               f"{self.casimir_arm:.6g} m") from None

@@ -298,7 +298,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     return parse_scenario_text(text, source=str(path))
 

@@ -719,3 +719,37 @@ class TestBudgetBadInputExitCode:
         cfg = _cfg(tmp_path, text)
         assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+
+# Sweeps and a fringe trace with one nan cell: they used to exit 3 with "sweep
+# curvatures must share one sign" and "only 1 fringe(s) covered".
+NAN_SWEEPS = "d_r_m,V_V,deltaV_V\n" + "".join(
+    f"{d}e-06,{v},{'nan' if (d, v) == (1, 0.1) else (v - 0.02) ** 2 / (10 - d)}\n"
+    for d in (1, 3, 5, 7) for v in (-0.1, -0.05, 0.0, 0.05, 0.1))
+NAN_TRACE = "pzt_V,intensity\n" + "".join(
+    f"{i / 4},{'nan' if i == 7 else 1000 + 900 * np.cos(i / 2)}\n" for i in range(64))
+# command -> its file option, a readable file for it, and one with a nan
+FILE_OPTIONS = {
+    "calibrate": ("--input", "d_r_m,V_V,deltaV_V\n1e-06,0.1,0.002\n", NAN_SWEEPS),
+    "michelson": ("--input", "pzt_V,intensity\n0.0,1000.0\n", NAN_TRACE),
+    "simulate": ("--config", "run.duration = 20 s\n", "run.duration = nan s\n"),
+}
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "nan_cell",
+                                  "out_under_file"])
+@pytest.mark.parametrize("command", sorted(FILE_OPTIONS))
+def test_bad_file_exits_2_and_names_the_path(tmp_path, capsys, command, case):
+    option, good, nan = FILE_OPTIONS[command]
+    path, out = tmp_path / "input", tmp_path / "o"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(good.encode() + b"\xff\n")
+    elif case == "nan_cell":
+        path.write_text(nan)
+    elif case == "out_under_file":
+        path.write_text(good)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+    assert main([command, option, str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert str(out if case == "out_under_file" else path) in capsys.readouterr().err

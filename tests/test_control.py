@@ -1,6 +1,7 @@
 """Closed-loop null-measurement tests."""
 
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,11 +18,12 @@ from torsionlab import (
     InstrumentSpec,
     PidConfig,
     PlantParams,
+    SphereSpec,
     VoltageState,
     run_null_measurement,
     torsion_constant,
 )
-from torsionlab.control import MAX_STEPS, _feedback_law, _step_count
+from torsionlab.control import BLOCK_STEPS, MAX_STEPS, _feedback_law, _step_count
 from torsionlab.errors import DomainError, InstabilityError
 from test_loop_oracle import scalar_loop
 
@@ -304,3 +306,32 @@ class TestForceLawInTheKernel:
             traced_run(IDEAL, PID, 30.0, 0.05, rows, check_stability=False, **self.CLOSING)
         assert len(rows) == len(steps)
         assert set(rows[0].forces) == {"electrostatic", "patch"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_past_contact_raises_at_the_jittered_gap(self, seed):
+        # commanded 0.1 nm past contact: the error gives the step's realized
+        # gap, not the commanded -1e-10 m
+        closing = dict(self.CLOSING, gap=GapState(5e-6 - 0.1e-9, 5e-6), seed=seed)
+        with pytest.raises(DomainError) as oracle:
+            scalar_loop(IDEAL, PID, 30.0, 0.05, **closing)
+        with pytest.raises(DomainError) as kernel:
+            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False, **closing)
+        assert str(kernel.value) == str(oracle.value)
+        assert "d_r = -1e-10 m" not in str(kernel.value)
+
+    def test_warns_as_the_scalar_loop_does_up_to_divergence(self):
+        # a 2.01 um gap to a 20 um sphere warns at every step; a jittered run
+        # evaluates no gap past the step that diverges
+        kwargs = dict(forces=ForceModelParams(sphere=SphereSpec(20e-6),
+                                              components=frozenset({"casimir_ideal"})),
+                      gap=GapState(10e-6, 10e-6 - 2.01e-6), pzt_jitter=True,
+                      thermal_noise=True, seed=0, delta_theta_min=1e-20)
+        outcomes = []
+        for loop, extra in ((scalar_loop, {}), (run_null_measurement, {"check_stability": False})):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(InstabilityError) as exc:
+                    loop(InstrumentSpec(), PID, 300.0, 0.05, **kwargs, **extra)
+            outcomes.append(([(w.category, str(w.message)) for w in caught], str(exc.value)))
+        assert len(outcomes[0][0]) > BLOCK_STEPS
+        assert outcomes[1] == outcomes[0]
