@@ -277,9 +277,10 @@ def run_electrostatic_calibration(
     ``positions`` are actuator coordinates d_r, strictly increasing
     toward contact; ``voltages`` is the shared list of applied voltages.
     The loop's stability is verified once up front, then the whole
-    position x voltage grid runs as one batch of closed loops. Each run
-    keeps its own random stream, seeded from (seed, position index,
-    voltage index), so its readout equals that of the same run alone.
+    position x voltage grid runs as one batch of closed loops. With thermal
+    noise or PZT jitter each run draws from its own random stream, seeded
+    from (seed, position index, voltage index), so its readout equals that
+    of the same run alone; a noiseless grid builds no stream.
     """
     positions = [float(p) for p in positions]
     voltages = [float(v) for v in voltages]
@@ -300,7 +301,7 @@ def run_electrostatic_calibration(
         _Run(
             forces=replace(forces, voltages=replace(forces.voltages, applied=v)),
             gap=GapState(contact_offset, d_r),
-            seed=np.random.SeedSequence([seed, i, j]),
+            seed=[seed, i, j],
             label=f"d_r = {d_r:.4g} m, V = {v:.4g} V",
         )
         for i, d_r in enumerate(positions)

@@ -316,11 +316,9 @@ def cmd_michelson(args, scenario, out):
 
 
 def _sweep_point(payload) -> tuple:
-    import numpy as np
     scenario, axis, index, value = payload
-    child_seed = np.random.SeedSequence([scenario.seed, index]).generate_state(1)[0]
     key = "position" if axis == "position" else "applied_force"
-    scenario = replace(scenario, seed=int(child_seed), run=replace(scenario.run, **{key: value}))
+    scenario = replace(scenario, run=replace(scenario.run, **{key: value}))
     _, ((steady, _, theta_rms),) = _scenario_loop(scenario, check_stability=False)
     return index, value, steady, theta_rms
 
@@ -439,7 +437,11 @@ def cmd_sweep(args, scenario, out):
     # The settings and the pre-check do not depend on the swept value: check
     # them once here, before any point runs.
     _scenario_loop(scenario, [])
-    payloads = [(scenario, args.axis, i, v) for i, v in enumerate(values)]
+    # Each point's seed is derived here, before the fork, so numpy.random is
+    # imported once and not in every worker.
+    from numpy.random import SeedSequence
+    payloads = [(replace(scenario, seed=int(SeedSequence([scenario.seed, i]).generate_state(1)[0])),
+                 args.axis, i, v) for i, v in enumerate(values)]
     rows = _fan_out(_sweep_point, payloads, args.workers)
     unit = "d_r_m" if args.axis == "position" else "F_ext_N"
     header = ("index", unit, "steady_deltaV_V", "settled_theta_rms_rad")

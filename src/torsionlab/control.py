@@ -93,7 +93,7 @@ _ARRAY_OPS = (
 
 
 class _Run(NamedTuple):
-    """One run of a closed-loop batch: its load, its random stream, its name."""
+    """One run of a closed-loop batch: its load, its seed (any ``default_rng`` input), its name."""
 
     forces: ForceModelParams | None = None
     gap: GapState | None = None
@@ -147,23 +147,26 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     Per step: PZT jitter (if ``pzt_jitter``) and the force at the realized
     gap, quantized detector read, PID update, feedback torque in
     ``actuator_mode``, and the exact propagator with the kick. Each run draws
-    its normals from its own seed in the per-step order of the scalar stepper
-    (PZT, then thermal), so a run gives the same bits alone or in a batch. Runs
-    differ only in load, seed and label, and either all have a gap or none
-    has; a gap outside the PZT travel [0, pzt_range] raises DomainError with
-    or without jitter. The loop evaluates each run's ``forces.force_law``,
-    which gives the total force only. |theta| over 1 rad, or over 100x
-    ``delta_theta_min`` after the first third, raises InstabilityError
-    naming the run.
+    its normals from ``np.random.default_rng(run.seed)`` in the per-step order
+    of the scalar stepper (PZT, then thermal), so a run gives the same bits
+    alone or in a batch. Only a loop that draws builds generators: one with
+    neither PZT jitter nor thermal kicks, the pre-check's among them, never
+    loads ``numpy.random``. Runs differ only in load, seed and label, and
+    either all have a gap or none has; a gap outside the PZT travel [0,
+    pzt_range] raises DomainError with or without jitter. The loop evaluates
+    each run's ``forces.force_law``, which gives the total force only.
+    |theta| over 1 rad, or over 100x ``delta_theta_min`` after the first
+    third, raises InstabilityError naming the run.
 
-    The loop steps in blocks of BLOCK_STEPS, each drawing its normals first. A
-    step evaluates its load at its realized gap, so a gap that closes ends the
-    run at its step, as divergence does. ``record(k0, t, reading, delta_v,
-    theta, d_r, f_ext)`` gets each block from step ``k0`` on, up to any error:
-    lists of floats for one run, (steps, runs) arrays for a batch, ``t`` a list
-    in both. Returns ``(n, settled)``: the step count and, per run, the steady
-    readout (mean δV) and θ mean and rms over the final third. With no runs it
-    returns ``(n, [])`` after the checks and the pre-check, without stepping.
+    The loop steps in blocks of BLOCK_STEPS, each drawing its normals, if
+    any, first. A step evaluates its load at its realized gap, so a gap that
+    closes ends the run at its step, as divergence does. ``record(k0, t,
+    reading, delta_v, theta, d_r, f_ext)`` gets each block from step ``k0``
+    on, up to any error: lists of floats for one run, (steps, runs) arrays
+    for a batch, ``t`` a list in both. Returns ``(n, settled)``: the step
+    count and, per run, the steady readout (mean δV) and θ mean and rms over
+    the final third. With no runs it returns ``(n, [])`` after the checks and
+    the pre-check, without stepping.
     """
     if duration <= 0 or dt <= 0:
         raise DomainError("duration and dt must be positive")
@@ -189,7 +192,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     pzt_sigma = instrument.actuator.pzt_accuracy if jitter else 0.0
     kick_sigma = plant.thermal_sigma(dt)
     draws = (pzt_sigma > 0.0) + (kick_sigma > 0.0)
-    rngs = [np.random.default_rng(r.seed) for r in runs]
+    rngs = [np.random.default_rng(r.seed) for r in runs] if draws else []
 
     command = [r.gap.relative_position if r.gap is not None else 0.0 for r in runs]
     travel = instrument.actuator.pzt_range
@@ -211,12 +214,13 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * delta_theta_min)
     start = n - n // 3
     settled = np.empty((2, batch, n // 3))  # δV and θ over the final third
-    settled_dv, settled_theta = settled
+    # written one step at a time: 1-D rows for one run, (n/3, B) views for a batch
+    settled_dv, settled_theta = settled[:, 0] if batch == 1 else settled.transpose(0, 2, 1)
     theta = omega = integral = prev = vector([0.0] * batch)
     t, error = 0.0, None
     for k0 in range(0, n, BLOCK_STEPS):
         m = min(BLOCK_STEPS, n - k0)
-        z = np.stack([g.standard_normal((m, draws)) for g in rngs], axis=-1)
+        z = np.stack([g.standard_normal((m, draws)) for g in rngs], axis=-1) if draws else None
         kicks = column(kick_sigma * z[:, -1]) if kick_sigma > 0.0 else repeat(None)
         d_rs = column(command + pzt_sigma * z[:, 0]) if pzt_sigma > 0.0 else [command] * m
         ts = list(accumulate(repeat(dt, m), initial=t))[1:]
@@ -245,8 +249,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
             theta = x_eq + axx * x + axv * omega
             omega = avx * x + avv * omega
             if k >= start:
-                settled_dv[:, k - start] = delta_v
-                settled_theta[:, k - start] = theta
+                settled_dv[k - start] = delta_v
+                settled_theta[k - start] = theta
             if record is not None:
                 readings.append(reading)
                 dvs.append(delta_v)

@@ -84,7 +84,7 @@ def verify_manifest(path) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from None
     problems = []
     for entry in data.get("artifacts", []):

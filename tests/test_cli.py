@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from torsionlab import GapState, cli, control, run_null_measurement
+from torsionlab import ConfigError, GapState, cli, control, run_null_measurement
 from torsionlab.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_NUMERICAL, EXIT_OK, main
 from torsionlab.manifest import verify_manifest
 from torsionlab.scenario import load_scenario
@@ -202,14 +202,14 @@ class TestSimulate:
         # The default gains hold a loop sampled every 0.05 s step but not one
         # sampled every 1 s: the pre-check must test the loop that will run.
         cfg = _cfg(tmp_path, "control.sample_interval = 1 s\nrun.forces = 100 pN\n"
-                             "run.duration = 60 s\n")
-        # The kernel makes its generators only once it starts to step, so one
-        # call means the pre-check's own run stepped and no run stepped after it.
+                             "run.duration = 60 s\nrun.thermal_noise = true\n")
+        # The pre-check draws nothing and the noisy run makes a generator once
+        # it starts to step, so no call means no run stepped after the refusal.
         with mock.patch.object(control.np.random, "default_rng",
                                wraps=control.np.random.default_rng) as rng:
             code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_INSTABILITY
-        assert rng.call_count == 1
+        assert rng.call_count == 0
         assert "test step" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -225,6 +225,13 @@ class TestSimulate:
             fh.write("tampered\n")
         problems = verify_manifest(out / "run_manifest.json")
         assert problems and "timeseries.csv" in problems[0]
+
+    def test_manifest_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run_manifest.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError) as exc:
+            verify_manifest(path)
+        assert str(exc.value).startswith(f"cannot read manifest {path}: ")
 
 
 class TestCalibrate:
@@ -614,14 +621,14 @@ class TestSweepChecksSettingsAsSimulate:
         cfg = _cfg(tmp_path, self.CASES[case] + "run.forces = 100 pN\n")
         outcomes = []
         for argv in (["simulate"], ["sweep", "--axis", "force", "--workers", "2"]):
-            with mock.patch.object(control.np.random, "default_rng",
-                                   wraps=control.np.random.default_rng) as rng:
+            with mock.patch.object(control, "_stability_precheck",
+                                   wraps=control._stability_precheck) as precheck:
                 code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
             outcomes.append((code, capsys.readouterr().err.splitlines()[0]))
+            if case == "over_the_step_cap":  # refused before the pre-check starts
+                assert precheck.call_count == 0
         assert outcomes[0][0] != EXIT_OK
         assert outcomes[1] == outcomes[0]
-        if case == "over_the_step_cap":  # refused before the pre-check steps
-            assert rng.call_count == 0
 
 
 class TestOutputDir:

@@ -7,8 +7,9 @@ on every run. Only ``michelson`` (``curve_fit``) and
 ``sweep --workers N>1`` forks its workers with ``os.fork``, so no command
 loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
-on ``math`` alone. Each check runs in a new interpreter, because this test
-process may already hold those modules.
+on ``math`` alone. A loop that draws no normals (no thermal noise, no PZT
+jitter) loads no ``numpy.random``. Each check runs in a new interpreter,
+because this test process may already hold those modules.
 """
 
 import json
@@ -81,6 +82,59 @@ def test_forked_sweep_loads_no_pool(tmp_path):
                     "--out", "out")
     assert _heavy_modules_after(code, tmp_path) == []
     assert len((tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()) == 3
+
+
+# The README's force.cfg, at 20 s.
+FORCE_CFG = ("run.duration = 20 s\nrun.applied_force = 100 pN\nforces.components = \n"
+             "detector.quantization = 0 V\n")
+
+
+def _loads_numpy_random(code, cwd):
+    return _fresh(code + "import sys\nprint('numpy.random' in sys.modules)\n",
+                  cwd).splitlines()[-1] == "True"
+
+
+def test_noiseless_simulate_loads_no_numpy_random(tmp_path):
+    (tmp_path / "force.cfg").write_text(FORCE_CFG)
+    code = _cli_run("simulate", "--config", "force.cfg", "--out", "out")
+    assert not _loads_numpy_random(code, tmp_path)
+    assert (tmp_path / "out" / "timeseries.csv").exists()
+
+
+def test_noisy_simulate_loads_numpy_random(tmp_path):
+    (tmp_path / "noisy.cfg").write_text(FORCE_CFG + "run.thermal_noise = true\n")
+    code = _cli_run("simulate", "--config", "noisy.cfg", "--out", "out")
+    assert _loads_numpy_random(code, tmp_path)
+
+
+def test_noiseless_calibrate_loads_no_numpy_random(tmp_path):
+    (tmp_path / "calib.cfg").write_text(
+        "forces.components = electrostatic\nforces.v0 = 20 mV\nrun.contact_offset = 10 um\n"
+        "run.positions = 1 um, 3.6 um, 6.4 um, 8.5 um\n"
+        "run.voltages = -80 mV, -55 mV, -30 mV, -5 mV, 20 mV, 45 mV, 70 mV, 95 mV, 120 mV\n"
+        "run.duration = 60 s\n")
+    code = _cli_run("calibrate", "--config", "calib.cfg", "--out", "out")
+    assert not _loads_numpy_random(code, tmp_path)
+    assert (tmp_path / "out" / "calibration_report.json").exists()
+
+
+def test_noisy_sweep_loads_numpy_random_before_it_forks(tmp_path):
+    # Loaded in the parent, numpy.random is not imported again in every worker.
+    (tmp_path / "scan.cfg").write_text("run.duration = 20 s\nforces.components = \n"
+                                       "run.forces = 10 pN, 100 pN\nrun.thermal_noise = true\n")
+    code = (
+        "import sys\n"
+        "from torsionlab import cli\n"
+        "fan_out, seen = cli._fan_out, []\n"
+        "def probe(*args):\n"
+        "    seen.append('numpy.random' in sys.modules)\n"
+        "    return fan_out(*args)\n"
+        "cli._fan_out = probe\n"
+        + _cli_run("sweep", "--axis", "force", "--config", "scan.cfg", "--workers", "2",
+                   "--out", "out")
+        + "print(seen)\n"
+    )
+    assert _fresh(code, tmp_path).splitlines()[-1] == "[True]"
 
 
 def test_michelson_synthetic_exits_0_in_a_fresh_interpreter(tmp_path):
