@@ -1,7 +1,7 @@
 """Electrostatic calibration, residual-force decomposition, and PZT
 fringe calibration.
 
-The electrostatic pipeline mirrors the measurement procedure: sweep the
+The electrostatic calibration mirrors the measurement procedure: sweep the
 applied voltage at each actuator position, fit the settled readout as a
 parabola in voltage, then fit the parabola curvatures against position
 as c / (d0 - d_r) to locate the contact point d0 and the volts-to-force

@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +41,12 @@ FIT_COLUMNS = {
     "rms_residual_V": "rms_residual",
 }
 POSITION_COLUMNS = ("d_r_m", *FIT_COLUMNS, "failed")
+
+# sweep --axis -> (run list it sweeps, run field each point sets, symbol, unit)
+SWEEP_AXES = {
+    "position": ("positions", "position", "d_r", "m"),
+    "force": ("forces", "applied_force", "F_ext", "N"),
+}
 
 # michelson options: what each sets, the values it allows, and their test
 MICHELSON_OPTIONS = (
@@ -108,18 +112,20 @@ def _command(name: str):
     return decorate
 
 
-def _scenario_loop(scenario: Scenario, runs=None, check_stability=True, record=None) -> tuple:
+def _scenario_loop(scenario: Scenario, runs=None, check_stability=True, record=None,
+                   label="") -> tuple:
     """control._closed_loop on the scenario's instrument, gains and run settings.
 
-    ``runs`` defaults to the scenario's own run. With no runs it only checks
-    those settings and, if ``check_stability``, runs the pre-check.
+    ``runs`` defaults to the scenario's own run, named ``label`` in its
+    errors. With no runs it only checks those settings and, if
+    ``check_stability``, runs the pre-check.
     """
     from .control import _closed_loop, _Run
     run = scenario.run
     if runs is None:
         forces = scenario.forces if scenario.forces.components else None
         gap = None if forces is None else GapState(run.contact_offset, run.position)
-        runs = [_Run(forces, gap, run.applied_force, scenario.seed)]
+        runs = [_Run(forces, gap, run.applied_force, scenario.seed, label)]
     return _closed_loop(
         scenario.instrument, scenario.pid, run.duration, run.dt, runs,
         temperature=scenario.forces.temperature, thermal_noise=run.thermal_noise,
@@ -315,136 +321,28 @@ def cmd_michelson(args, scenario, out):
     )
 
 
-def _sweep_point(payload) -> tuple:
-    scenario, axis, index, value = payload
-    key = "position" if axis == "position" else "applied_force"
-    scenario = replace(scenario, run=replace(scenario.run, **{key: value}))
-    _, ((steady, _, theta_rms),) = _scenario_loop(scenario, check_stability=False)
-    return index, value, steady, theta_rms
-
-
-def _fan_out_child(func, items, first: int, step: int, write: int) -> None:
-    """Body of a forked _fan_out child: run its stripe, send the outcome, exit.
-
-    The stripe is items ``first``, ``first + step``, ... in order, up to the
-    first exception. Warnings are recorded under the inherited filters, so
-    each distinct one is kept once, as ``(index, text, category, filename,
-    lineno)`` of the item that raised it. The child writes ``(results,
-    warned, (index, exception) or None)`` to the pipe end ``write`` and exits
-    0 only once that is written. It ends with os._exit, so it never returns
-    into its caller's stack.
-    """
-    import pickle
-    status = 1
-    try:
-        results, warned, error = [], [], None
-        with warnings.catch_warnings(record=True) as caught:
-            for i in range(first, len(items), step):
-                try:
-                    results.append(func(items[i]))
-                except Exception as exc:  # the parent raises it, in item order
-                    error = (i, exc)
-                warned += [(i, str(w.message), w.category, w.filename, w.lineno) for w in caught]
-                caught.clear()
-                if error is not None:
-                    break
-        with open(write, "wb") as fh:
-            pickle.dump((results, warned, error), fh)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fan_out(func, items, workers: int) -> list:
-    """``[func(item) for item in items]``, striped over up to ``workers`` forked children.
-
-    Child j of N = min(workers, len(items)) runs items j, j + N, ... (the
-    sweep's points all take the same steps, so stripes balance). The parent
-    reads every child's pipe and reaps every child. It then replays, in item
-    order, the children's warnings of the items up to the earliest failing
-    one, and raises that item's exception, as the serial loop would. Each
-    warning goes through ``warnings.warn_explicit`` against the registry of
-    the module that raised it, so this process's filters show it as a serial
-    run would, whatever the worker count. A child that exits without sending
-    its outcome fails at its first item with a RuntimeError naming it and its
-    items. With one worker, one item or no os.fork the items run here. Call
-    it with no other Python thread running: a forked child gets only the
-    thread that forked it.
-    """
-    n = min(workers, len(items))
-    if n <= 1 or not hasattr(os, "fork"):
-        return [func(item) for item in items]
-    import pickle
-    children = []  # (pid, read end of its pipe)
-    try:
-        for j in range(n):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                # no read end may stay open here, or a parent that stops
-                # reading would leave a writer blocked instead of failing
-                for fd in (read, *(r for _, r in children)):
-                    os.close(fd)
-                _fan_out_child(func, items, j, n, write)
-            os.close(write)  # the child's copy is then the only one: EOF when it ends
-            children.append((pid, read))
-        sent = []
-        for _, read in children:
-            with open(read, "rb", closefd=False) as fh:
-                sent.append(fh.read())
-    finally:
-        for _, read in children:
-            os.close(read)
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    results, warned, errors = [None] * len(items), [], []
-    for j, (data, status) in enumerate(zip(sent, statuses)):
-        if status != 0:
-            points = ", ".join(map(str, range(j, len(items), n)))
-            errors.append((j, RuntimeError(f"worker {j} of {n} (points {points}) exited with "
-                                           f"status {status} before sending its results")))
-            continue
-        stripe, stripe_warned, error = pickle.loads(data)
-        results[j:j + n * len(stripe):n] = stripe
-        warned += stripe_warned
-        if error is not None:
-            errors.append(error)
-    last, error = min(errors, key=lambda e: e[0]) if errors else (len(items), None)
-    modules = {m.__file__: vars(m) for m in list(sys.modules.values())
-               if getattr(m, "__file__", None)}
-    for i, text, category, filename, lineno in sorted(warned, key=lambda w: w[0]):
-        if i <= last:
-            module = modules.get(filename, {})
-            warnings.warn_explicit(text, category, filename, lineno,
-                                   module.get("__name__", "<string>"),
-                                   module.setdefault("__warningregistry__", {}))
-    if error is not None:
-        raise error
-    return results
-
-
 @_command("sweep --axis {axis}")
 def cmd_sweep(args, scenario, out):
     run = scenario.run
-    values = list(run.positions if args.axis == "position" else run.forces)
+    swept, key, name, unit = SWEEP_AXES[args.axis]
+    values = list(getattr(run, swept))
     if not values:
-        key = "run.positions" if args.axis == "position" else "run.forces"
-        raise ConfigError(f"sweep over {args.axis} needs {key} in the scenario")
+        raise ConfigError(f"sweep over {args.axis} needs run.{swept} in the scenario")
     # The settings and the pre-check do not depend on the swept value: check
     # them once here, before any point runs.
     _scenario_loop(scenario, [])
-    # Each point's seed is derived here, before the fork, so numpy.random is
-    # imported once and not in every worker.
-    from numpy.random import SeedSequence
-    payloads = [(replace(scenario, seed=int(SeedSequence([scenario.seed, i]).generate_state(1)[0])),
-                 args.axis, i, v) for i, v in enumerate(values)]
-    rows = _fan_out(_sweep_point, payloads, args.workers)
-    unit = "d_r_m" if args.axis == "position" else "F_ext_N"
-    header = ("index", unit, "steady_deltaV_V", "settled_theta_rms_rad")
+    # only a run that draws reads its seed, so a noiseless sweep needs no numpy.random
+    draws = run.thermal_noise or run.pzt_jitter
+    if draws:
+        from numpy.random import SeedSequence
+    rows = []
+    for i, v in enumerate(values):
+        seed = int(SeedSequence([scenario.seed, i]).generate_state(1)[0]) if draws else scenario.seed
+        point = replace(scenario, seed=seed, run=replace(run, **{key: v}))
+        _, ((steady, _, theta_rms),) = _scenario_loop(point, check_stability=False,
+                                                      label=f"{name} = {v:.4g} {unit}")
+        rows.append((i, v, steady, theta_rms))
+    header = ("index", f"{name}_{unit}", "steady_deltaV_V", "settled_theta_rms_rad")
     path = _write_csv(out / "sweep_summary.csv", header, rows)
     return [path], f"swept {len(rows)} {args.axis} value(s) -> {path}"
 
@@ -475,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = command("simulate", cmd_simulate, "run one closed-loop null measurement")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cal = command("calibrate", cmd_calibrate, "electrostatic calibration pipeline")
+    p_cal = command("calibrate", cmd_calibrate, "electrostatic calibration")
     p_cal.add_argument("--input", type=Path, default=None,
                        help="sweep CSV (d_r_m,V_V,deltaV_V) instead of simulating")
     command("budget", cmd_budget, "noise and sensitivity budget")
@@ -489,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mic.add_argument("--points", type=int, default=600)
     p_mic.add_argument("--noise", type=float, default=0.0, help="intensity noise rms")
     p_mic.add_argument("--wavelength-nm", type=float, default=632.8)
-    p_sw = command("sweep", cmd_sweep, "fan a simulation over positions or forces")
-    p_sw.add_argument("--axis", choices=("position", "force"), default="position")
-    p_sw.add_argument("--workers", type=_positive_int, default=4)
+    p_sw = command("sweep", cmd_sweep, "simulate at each of several positions or forces")
+    p_sw.add_argument("--axis", choices=tuple(SWEEP_AXES), default="position")
+    p_sw.add_argument("--workers", type=_positive_int, default=4,
+                      help="accepted and ignored: the points run in order")
     return parser
 
 

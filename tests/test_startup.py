@@ -4,7 +4,7 @@ process pool, and the math-only paths load no numpy.
 Every command is a fresh process, so an import on the CLI's path is paid
 on every run. Only ``michelson`` (``curve_fit``) and
 ``decompose_residual(nonnegative=True)`` (``nnls``) need scipy.
-``sweep --workers N>1`` forks its workers with ``os.fork``, so no command
+``sweep`` runs its points in order in its own process, and no command
 loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
 on ``math`` alone. A loop that draws no normals (no thermal noise, no PZT
@@ -118,23 +118,21 @@ def test_noiseless_calibrate_loads_no_numpy_random(tmp_path):
     assert (tmp_path / "out" / "calibration_report.json").exists()
 
 
-def test_noisy_sweep_loads_numpy_random_before_it_forks(tmp_path):
-    # Loaded in the parent, numpy.random is not imported again in every worker.
-    (tmp_path / "scan.cfg").write_text("run.duration = 20 s\nforces.components = \n"
-                                       "run.forces = 10 pN, 100 pN\nrun.thermal_noise = true\n")
-    code = (
-        "import sys\n"
-        "from torsionlab import cli\n"
-        "fan_out, seen = cli._fan_out, []\n"
-        "def probe(*args):\n"
-        "    seen.append('numpy.random' in sys.modules)\n"
-        "    return fan_out(*args)\n"
-        "cli._fan_out = probe\n"
-        + _cli_run("sweep", "--axis", "force", "--config", "scan.cfg", "--workers", "2",
-                   "--out", "out")
-        + "print(seen)\n"
-    )
-    assert _fresh(code, tmp_path).splitlines()[-1] == "[True]"
+# The README force scan.
+SCAN_CFG = "run.forces = 10 pN, 100 pN, 1 nN\nforces.components = \n"
+
+
+def test_noiseless_sweep_loads_no_numpy_random(tmp_path):
+    (tmp_path / "scan.cfg").write_text(SCAN_CFG)
+    code = _cli_run("sweep", "--axis", "force", "--config", "scan.cfg", "--out", "out")
+    assert not _loads_numpy_random(code, tmp_path)
+    assert len((tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()) == 4
+
+
+def test_noisy_sweep_loads_numpy_random(tmp_path):
+    (tmp_path / "noisy.cfg").write_text(SCAN_CFG + "run.thermal_noise = true\n")
+    code = _cli_run("sweep", "--axis", "force", "--config", "noisy.cfg", "--out", "out")
+    assert _loads_numpy_random(code, tmp_path)
 
 
 def test_michelson_synthetic_exits_0_in_a_fresh_interpreter(tmp_path):
