@@ -8,7 +8,8 @@ on every run. Only ``michelson`` (``curve_fit``) and
 loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
 on ``math`` alone. A loop that draws no normals (no thermal noise, no PZT
-jitter) loads no ``numpy.random``. Each check runs in a new interpreter,
+jitter) loads no ``numpy.random``, and a CLI run starts no OpenBLAS pool
+thread. Each check runs in a new interpreter,
 because this test process may already hold those modules.
 """
 
@@ -17,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import torsionlab
 
@@ -133,6 +136,16 @@ def test_noisy_sweep_loads_numpy_random(tmp_path):
     (tmp_path / "noisy.cfg").write_text(SCAN_CFG + "run.thermal_noise = true\n")
     code = _cli_run("sweep", "--axis", "force", "--config", "noisy.cfg", "--out", "out")
     assert _loads_numpy_random(code, tmp_path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists threads from /proc")
+def test_cli_starts_no_blas_pool_thread(tmp_path):
+    (tmp_path / "noisy.cfg").write_text(SCAN_CFG + "run.thermal_noise = true\n")
+    code = ("import os\nos.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            + _cli_run("sweep", "--axis", "force", "--config", "noisy.cfg", "--out", "out")
+            + "import sys\nassert 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n")
+    assert _fresh(code, tmp_path).splitlines()[-1] == "1 1"
 
 
 def test_michelson_synthetic_exits_0_in_a_fresh_interpreter(tmp_path):
