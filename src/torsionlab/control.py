@@ -103,9 +103,13 @@ class _Run(NamedTuple):
 
 
 def _load(run: _Run):
-    """External force on the Casimir arm as a function of the realized position d_r."""
+    """External force on the Casimir arm as a function of the realized position d_r.
+
+    A law error names the run when it has a label, as divergence does.
+    """
     if run.forces is None:
         return lambda d_r, f=run.applied_force: f
+    where = f" in the run at {run.label}" if run.label else ""
 
     def load(d_r, f=run.applied_force, d0=run.gap.contact_offset, law=force_law(run.forces)):
         try:
@@ -113,7 +117,11 @@ def _load(run: _Run):
         except (OverflowError, ZeroDivisionError):  # a power of the gap beyond float range
             raise DomainError(f"force law leaves the float range at d0 - d_r = {d0 - d_r:.6g} m "
                               f"(run.contact_offset = {d0:.6g} m, d_r = {d_r:.6g} m from "
-                              f"run.position or run.positions)") from None
+                              f"run.position or run.positions){where}") from None
+        except DomainError as exc:  # a closed gap
+            if not where:
+                raise
+            raise DomainError(f"{exc}{where}") from None
     return load
 
 

@@ -2,21 +2,45 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["RunManifest", "file_sha256", "build_manifest", "write_manifest", "verify_manifest"]
+__all__ = ["RunManifest", "sha256", "file_sha256", "build_manifest", "write_manifest",
+           "verify_manifest"]
 
 MANIFEST_NAME = "run_manifest.json"
 
 
+def sha256(data=b""):
+    """A SHA-256 hash object; every path gives the same digest.
+
+    OpenSSL's when ``hashlib`` is loaded already (a run that draws loads it
+    through ``numpy.random``), and faster on large files; otherwise the
+    interpreter's builtin one, so a command that loads no OpenSSL for
+    anything else does not load its libcrypto for the digests either.
+    """
+    if "hashlib" not in sys.modules:
+        try:  # one name by version: a failed import would search sys.path on every call
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256 as builtin
+            else:
+                from _sha256 import sha256 as builtin
+        except ImportError:  # a build without the builtin hashes
+            pass
+        else:
+            return builtin(data)
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def file_sha256(path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)

@@ -9,7 +9,6 @@ An empty file yields the default instrument.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -199,8 +198,10 @@ _SECTIONS = {
 
 def scenario_hash(scenario: Scenario) -> str:
     """SHA-256 of the canonical JSON form; stable under key reordering."""
+    from .manifest import sha256
+
     payload = json.dumps(scenario.to_flat(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 def _finite(number: float, raw: str, where: str) -> float:

@@ -457,6 +457,14 @@ class TestSweep:
         steadys = [float(line.split(",")[2]) for line in lines[1:]]
         assert steadys[0] < steadys[1] < steadys[2]
 
+    def test_closed_gap_at_a_point_exits_2_and_names_the_point(self, tmp_path, capsys):
+        # the second point's gap d0 - d_r is -0.5 um
+        cfg = _cfg(tmp_path, "run.contact_offset = 10 um\nrun.positions = 2 um, 10.5 um\n")
+        assert main(["sweep", "--axis", "position", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "d = d0 - d_r = -5e-07 m must be positive in the run at d_r = 1.05e-05 m" in err
+
 
 class TestSweepPointScenario:
     # 0.247 mV is one of the steps that a copy through SI volts (x 1e-3, then

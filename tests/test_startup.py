@@ -9,10 +9,13 @@ loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
 on ``math`` alone. A loop that draws no normals (no thermal noise, no PZT
 jitter) loads no ``numpy.random``, and a CLI run starts no OpenBLAS pool
-thread. Each check runs in a new interpreter,
+thread. Only a run that draws loads OpenSSL (``_hashlib``, through
+``numpy.random``); a noiseless command writes hashlib's digests with the
+interpreter's own SHA-256. Each check runs in a new interpreter,
 because this test process may already hold those modules.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import torsionlab
+from torsionlab.scenario import Scenario, load_scenario, scenario_hash
 
 SRC = Path(torsionlab.__file__).resolve().parents[1]
 
@@ -110,12 +114,15 @@ def test_noisy_simulate_loads_numpy_random(tmp_path):
     assert _loads_numpy_random(code, tmp_path)
 
 
+# The README calibrate grid, at 4 positions and 60 s.
+CALIB_CFG = ("forces.components = electrostatic\nforces.v0 = 20 mV\nrun.contact_offset = 10 um\n"
+             "run.positions = 1 um, 3.6 um, 6.4 um, 8.5 um\n"
+             "run.voltages = -80 mV, -55 mV, -30 mV, -5 mV, 20 mV, 45 mV, 70 mV, 95 mV, 120 mV\n"
+             "run.duration = 60 s\n")
+
+
 def test_noiseless_calibrate_loads_no_numpy_random(tmp_path):
-    (tmp_path / "calib.cfg").write_text(
-        "forces.components = electrostatic\nforces.v0 = 20 mV\nrun.contact_offset = 10 um\n"
-        "run.positions = 1 um, 3.6 um, 6.4 um, 8.5 um\n"
-        "run.voltages = -80 mV, -55 mV, -30 mV, -5 mV, 20 mV, 45 mV, 70 mV, 95 mV, 120 mV\n"
-        "run.duration = 60 s\n")
+    (tmp_path / "calib.cfg").write_text(CALIB_CFG)
     code = _cli_run("calibrate", "--config", "calib.cfg", "--out", "out")
     assert not _loads_numpy_random(code, tmp_path)
     assert (tmp_path / "out" / "calibration_report.json").exists()
@@ -136,6 +143,48 @@ def test_noisy_sweep_loads_numpy_random(tmp_path):
     (tmp_path / "noisy.cfg").write_text(SCAN_CFG + "run.thermal_noise = true\n")
     code = _cli_run("sweep", "--axis", "force", "--config", "noisy.cfg", "--out", "out")
     assert _loads_numpy_random(code, tmp_path)
+
+
+def _openssl_modules_after(code, cwd):
+    return json.loads(_fresh(code + "import json, sys\nprint(json.dumps(sorted("
+                             "{'hashlib', '_hashlib'} & sys.modules.keys())))\n",
+                             cwd).splitlines()[-1])
+
+
+def _assert_digests(out, scenario):
+    """The manifest's digests are hashlib's (OpenSSL's) of the same bytes."""
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["scenario_hash"] == scenario_hash(scenario)
+    assert manifest["artifacts"]
+    for entry in manifest["artifacts"]:
+        assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+
+
+# Each case: scenario text (None: no --config), then the command and its options.
+NOISELESS = {
+    "budget": (None, ["budget"]),
+    "calibrate": (CALIB_CFG, ["calibrate"]),
+    "simulate": (FORCE_CFG, ["simulate"]),
+    "sweep": (SCAN_CFG, ["sweep", "--axis", "force"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISELESS))
+def test_noiseless_command_loads_no_openssl_and_writes_its_digests(tmp_path, case):
+    text, argv = NOISELESS[case]
+    if text is not None:
+        (tmp_path / "s.cfg").write_text(text)
+        argv = [*argv, "--config", "s.cfg"]
+    assert _openssl_modules_after(_cli_run(*argv, "--out", "out"), tmp_path) == []
+    scenario = Scenario() if text is None else load_scenario(tmp_path / "s.cfg")
+    _assert_digests(tmp_path / "out", scenario)
+
+
+def test_noisy_simulate_loads_openssl(tmp_path):
+    (tmp_path / "noisy.cfg").write_text(FORCE_CFG + "run.thermal_noise = true\n")
+    code = _cli_run("simulate", "--config", "noisy.cfg", "--out", "out")
+    assert _openssl_modules_after(code, tmp_path) == ["_hashlib", "hashlib"]
+    _assert_digests(tmp_path / "out", load_scenario(tmp_path / "noisy.cfg"))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists threads from /proc")
