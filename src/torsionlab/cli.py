@@ -5,10 +5,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 feedback instability, 1 unexpected failure.
 
 Only the commands that step or fit import numpy, ``control`` and
-``calibration``, so ``budget`` starts without them. OpenSSL comes in only
-with ``numpy.random`` (a run that draws, or scipy in ``michelson``);
-without it the manifest digests come from the interpreter's own SHA-256,
-with the same values.
+``calibration``, so ``budget`` starts without them. The manifest digests
+come from the interpreter's own SHA-256, with hashlib's values, so OpenSSL
+comes in only with ``numpy.random`` (a run that draws, or scipy in
+``michelson``).
 """
 
 from __future__ import annotations

@@ -119,8 +119,6 @@ def _load(run: _Run):
                               f"(run.contact_offset = {d0:.6g} m, d_r = {d_r:.6g} m from "
                               f"run.position or run.positions){where}") from None
         except DomainError as exc:  # a closed gap
-            if not where:
-                raise
             raise DomainError(f"{exc}{where}") from None
     return load
 

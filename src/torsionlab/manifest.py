@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,27 +15,15 @@ __all__ = ["RunManifest", "sha256", "file_sha256", "build_manifest", "write_mani
 MANIFEST_NAME = "run_manifest.json"
 
 
-def sha256(data=b""):
-    """A SHA-256 hash object; every path gives the same digest.
-
-    OpenSSL's when ``hashlib`` is loaded already (a run that draws loads it
-    through ``numpy.random``), and faster on large files; otherwise the
-    interpreter's builtin one, so a command that loads no OpenSSL for
-    anything else does not load its libcrypto for the digests either.
-    """
-    if "hashlib" not in sys.modules:
-        try:  # one name by version: a failed import would search sys.path on every call
-            if sys.version_info >= (3, 12):
-                from _sha2 import sha256 as builtin
-            else:
-                from _sha256 import sha256 as builtin
-        except ImportError:  # a build without the builtin hashes
-            pass
-        else:
-            return builtin(data)
-    import hashlib
-
-    return hashlib.sha256(data)
+# The interpreter's own SHA-256, with hashlib's digests: importing hashlib
+# loads OpenSSL's libcrypto, which only a run that draws needs otherwise.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256
 
 
 def file_sha256(path) -> str:

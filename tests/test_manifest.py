@@ -1,8 +1,6 @@
-"""SHA-256 paths: the interpreter's builtin hash when ``hashlib`` is not
-loaded, OpenSSL's when it is, with the same digests either way."""
+"""SHA-256: the interpreter's builtin hash, with hashlib's digests."""
 
 import hashlib
-import sys
 
 import pytest
 
@@ -16,24 +14,12 @@ DEFAULT_HASH = "053ec97f51b68cc9634919e5396fced0668ac63c2131975b4c711adc42a9978f
 SIZES = [0, 1, 65_535, 65_536, 65_537]
 
 
-@pytest.fixture(params=["builtin", "openssl"])
-def path(request, monkeypatch):
-    if request.param == "builtin":
-        monkeypatch.delitem(sys.modules, "hashlib")
-    return request.param
-
-
-def test_hash_type_follows_hashlib(path):
-    kind = type(sha256())
-    if path == "builtin":
-        assert kind.__module__ in ("_sha2", "_sha256")  # Python 3.12+, 3.10-3.11
-        assert "hashlib" not in sys.modules
-    else:
-        assert kind is type(hashlib.sha256())
+def test_hash_is_the_builtin_one():
+    assert type(sha256()).__module__ in ("_sha2", "_sha256")  # Python 3.12+, 3.10-3.11
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_digests_match_hashlib(path, size, tmp_path):
+def test_digests_match_hashlib(size, tmp_path):
     data = (bytes(range(256)) * (size // 256 + 1))[:size]
     expected = hashlib.sha256(data).hexdigest()
     assert sha256(data).hexdigest() == expected
@@ -41,5 +27,5 @@ def test_digests_match_hashlib(path, size, tmp_path):
     assert file_sha256(tmp_path / "data") == expected
 
 
-def test_scenario_hash_matches_the_pin(path):
+def test_scenario_hash_matches_the_pin():
     assert scenario_hash(Scenario()) == DEFAULT_HASH

@@ -9,9 +9,9 @@ loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
 on ``math`` alone. A loop that draws no normals (no thermal noise, no PZT
 jitter) loads no ``numpy.random``, and a CLI run starts no OpenBLAS pool
-thread. Only a run that draws loads OpenSSL (``_hashlib``, through
-``numpy.random``); a noiseless command writes hashlib's digests with the
-interpreter's own SHA-256. Each check runs in a new interpreter,
+thread. The digests come from the interpreter's own SHA-256, so only a
+run that draws loads OpenSSL (``_hashlib``, through ``numpy.random``);
+they equal hashlib's. Each check runs in a new interpreter,
 because this test process may already hold those modules.
 """
 
@@ -152,7 +152,7 @@ def _openssl_modules_after(code, cwd):
 
 
 def _assert_digests(out, scenario):
-    """The manifest's digests are hashlib's (OpenSSL's) of the same bytes."""
+    """The manifest's digests are hashlib's of the same bytes."""
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["scenario_hash"] == scenario_hash(scenario)
     assert manifest["artifacts"]
@@ -178,13 +178,6 @@ def test_noiseless_command_loads_no_openssl_and_writes_its_digests(tmp_path, cas
     assert _openssl_modules_after(_cli_run(*argv, "--out", "out"), tmp_path) == []
     scenario = Scenario() if text is None else load_scenario(tmp_path / "s.cfg")
     _assert_digests(tmp_path / "out", scenario)
-
-
-def test_noisy_simulate_loads_openssl(tmp_path):
-    (tmp_path / "noisy.cfg").write_text(FORCE_CFG + "run.thermal_noise = true\n")
-    code = _cli_run("simulate", "--config", "noisy.cfg", "--out", "out")
-    assert _openssl_modules_after(code, tmp_path) == ["_hashlib", "hashlib"]
-    _assert_digests(tmp_path / "out", load_scenario(tmp_path / "noisy.cfg"))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists threads from /proc")
