@@ -29,8 +29,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .forces import ForceModelParams
-from .instrument import GapState, InstrumentSpec, PidConfig
+from .instrument import GapState
 
 __all__ = [
     "VoltageSweep",
@@ -256,34 +255,21 @@ def calibrate_sweeps(sweeps, sphere_radius: float) -> CalibrationResult:
     )
 
 
-def run_electrostatic_calibration(
-    instrument: InstrumentSpec,
-    pid: PidConfig,
-    forces: ForceModelParams,
-    contact_offset: float,
-    positions,
-    voltages,
-    *,
-    duration: float = 240.0,
-    dt: float = 0.05,
-    actuator_mode: str = "linear",
-    thermal_noise: bool = False,
-    pzt_jitter: bool = False,
-    seed: int = 0,
-    delta_theta_min: float = 1e-7,
-) -> CalibrationResult:
-    """Simulate voltage sweeps at each position and analyze them.
+def run_electrostatic_calibration(scenario) -> CalibrationResult:
+    """Simulate the scenario's voltage sweeps at each position and analyze them.
 
-    ``positions`` are actuator coordinates d_r, strictly increasing
-    toward contact; ``voltages`` is the shared list of applied voltages.
-    The loop's stability is verified once up front, then the whole
-    position x voltage grid runs as one batch of closed loops. With thermal
-    noise or PZT jitter each run draws from its own random stream, seeded
-    from (seed, position index, voltage index), so its readout equals that
-    of the same run alone; a noiseless grid builds no stream.
+    ``run.positions`` are actuator coordinates d_r, strictly increasing
+    toward contact, and ``run.voltages`` is the shared list of values of
+    ``forces.applied_voltage``; the contact point is ``run.contact_offset``.
+    The loop's stability is verified once up front, then the whole position
+    x voltage grid runs as one batch of closed loops. With thermal noise or
+    PZT jitter each run draws from its own random stream, seeded from
+    (seed, position index, voltage index), so its readout equals that of
+    the same run alone; a noiseless grid builds no stream.
     """
-    positions = [float(p) for p in positions]
-    voltages = [float(v) for v in voltages]
+    run, forces, contact_offset = scenario.run, scenario.forces, scenario.run.contact_offset
+    positions = [float(p) for p in run.positions]
+    voltages = [float(v) for v in run.voltages]
     if len(positions) < 2:
         raise DomainError("need at least two positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
@@ -301,17 +287,13 @@ def run_electrostatic_calibration(
         _Run(
             forces=replace(forces, voltages=replace(forces.voltages, applied=v)),
             gap=GapState(contact_offset, d_r),
-            seed=[seed, i, j],
+            seed=[scenario.seed, i, j],
             label=f"d_r = {d_r:.4g} m, V = {v:.4g} V",
         )
         for i, d_r in enumerate(positions)
         for j, v in enumerate(voltages)
     ]
-    _, settled = _closed_loop(
-        instrument, pid, duration, dt, runs, temperature=forces.temperature,
-        thermal_noise=thermal_noise, actuator_mode=actuator_mode, pzt_jitter=pzt_jitter,
-        delta_theta_min=delta_theta_min,
-    )
+    _, settled = _closed_loop(scenario, runs)
     steady = [readout for readout, _, _ in settled]
     n_v = len(voltages)
     sweeps = [

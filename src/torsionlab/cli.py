@@ -22,7 +22,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, InstabilityError, NumericalError, TorsionLabError
-from .instrument import GapState
 from .manifest import build_manifest, utc_now, write_manifest
 from .scenario import Scenario, load_scenario, scenario_hash
 from .sensitivity import build_report
@@ -116,28 +115,6 @@ def _command(name: str):
     return decorate
 
 
-def _scenario_loop(scenario: Scenario, runs=None, check_stability=True, record=None,
-                   label="") -> tuple:
-    """control._closed_loop on the scenario's instrument, gains and run settings.
-
-    ``runs`` defaults to the scenario's own run, named ``label`` in its
-    errors. With no runs it only checks those settings and, if
-    ``check_stability``, runs the pre-check.
-    """
-    from .control import _closed_loop, _Run
-    run = scenario.run
-    if runs is None:
-        forces = scenario.forces if scenario.forces.components else None
-        gap = None if forces is None else GapState(run.contact_offset, run.position)
-        runs = [_Run(forces, gap, run.applied_force, scenario.seed, label)]
-    return _closed_loop(
-        scenario.instrument, scenario.pid, run.duration, run.dt, runs,
-        temperature=scenario.forces.temperature, thermal_noise=run.thermal_noise,
-        actuator_mode=scenario.actuator_mode, pzt_jitter=run.pzt_jitter,
-        delta_theta_min=run.delta_theta_min, check_stability=check_stability, record=record,
-    )
-
-
 def write_loop_csv(fh, k0: int, columns) -> None:
     """_write_csv's rows for a block of LOOP_COLUMNS float columns; the header at step 0."""
     if k0 == 0:
@@ -155,6 +132,7 @@ def write_loop_json(fh, k0: int, columns) -> None:
 
 @_command("simulate")
 def cmd_simulate(args, scenario, out):
+    from .control import _closed_loop, _scenario_run
     write = write_loop_json if args.format == "json" else write_loop_csv
     path = out / f"timeseries.{args.format}"
     partial = path.with_name(path.name + ".part")  # a failed run leaves no time series
@@ -164,7 +142,8 @@ def cmd_simulate(args, scenario, out):
 
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            n, ((steady, theta_mean, theta_rms),) = _scenario_loop(scenario, record=record)
+            n, ((steady, theta_mean, theta_rms),) = _closed_loop(
+                scenario, [_scenario_run(scenario)], record=record)
             if args.format == "json":
                 fh.write("\n]\n")
         series = partial.replace(path)
@@ -195,27 +174,12 @@ def cmd_calibrate(args, scenario, out):
         sweeps = sweeps_from_csv(args.input)
         result = calibrate_sweeps(sweeps, scenario.forces.sphere.radius)
     else:
-        run = scenario.run
-        if not run.positions or not run.voltages:
+        if not scenario.run.positions or not scenario.run.voltages:
             raise ConfigError(
                 "calibration needs run.positions and run.voltages in the scenario "
                 "(or --input CSV)"
             )
-        result = run_electrostatic_calibration(
-            scenario.instrument,
-            scenario.pid,
-            scenario.forces,
-            run.contact_offset,
-            run.positions,
-            run.voltages,
-            duration=run.duration,
-            dt=run.dt,
-            actuator_mode=scenario.actuator_mode,
-            thermal_noise=run.thermal_noise,
-            pzt_jitter=run.pzt_jitter,
-            seed=scenario.seed,
-            delta_theta_min=run.delta_theta_min,
-        )
+        result = run_electrostatic_calibration(scenario)
     rows = [_position_record(p) for p in result.positions]
     report = {
         "d0_m": result.d0,
@@ -327,6 +291,7 @@ def cmd_michelson(args, scenario, out):
 
 @_command("sweep --axis {axis}")
 def cmd_sweep(args, scenario, out):
+    from .control import _closed_loop, _scenario_run
     run = scenario.run
     swept, key, name, unit = SWEEP_AXES[args.axis]
     values = list(getattr(run, swept))
@@ -334,7 +299,7 @@ def cmd_sweep(args, scenario, out):
         raise ConfigError(f"sweep over {args.axis} needs run.{swept} in the scenario")
     # The settings and the pre-check do not depend on the swept value: check
     # them once here, before any point runs.
-    _scenario_loop(scenario, [])
+    _closed_loop(scenario, [])
     # only a run that draws reads its seed, so a noiseless sweep needs no numpy.random
     draws = run.thermal_noise or run.pzt_jitter
     if draws:
@@ -343,8 +308,8 @@ def cmd_sweep(args, scenario, out):
     for i, v in enumerate(values):
         seed = int(SeedSequence([scenario.seed, i]).generate_state(1)[0]) if draws else scenario.seed
         point = replace(scenario, seed=seed, run=replace(run, **{key: v}))
-        _, ((steady, _, theta_rms),) = _scenario_loop(point, check_stability=False,
-                                                      label=f"{name} = {v:.4g} {unit}")
+        _, ((steady, _, theta_rms),) = _closed_loop(
+            point, [_scenario_run(point, f"{name} = {v:.4g} {unit}")], check_stability=False)
         rows.append((i, v, steady, theta_rms))
     header = ("index", f"{name}_{unit}", "steady_deltaV_V", "settled_theta_rms_rad")
     path = _write_csv(out / "sweep_summary.csv", header, rows)

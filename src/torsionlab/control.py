@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
@@ -23,8 +23,7 @@ from .constants import CONSTANTS
 from .dynamics import PlantParams, _propagator, _round_half_away, check_step
 from .errors import DomainError, InstabilityError
 from .forces import ForceModelParams, force_law, torsion_constant
-from .instrument import (ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, InstrumentSpec,
-                         PidConfig)
+from .instrument import ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, PidConfig
 
 __all__ = [
     "PidConfig",
@@ -102,6 +101,15 @@ class _Run(NamedTuple):
     label: str = ""
 
 
+def _scenario_run(scenario, label: str = "") -> _Run:
+    """The scenario's own run: ``run.applied_force`` plus, when a force
+    component is on, the force model at ``run.position``."""
+    run = scenario.run
+    forces = scenario.forces if scenario.forces.components else None
+    gap = None if forces is None else GapState(run.contact_offset, run.position)
+    return _Run(forces, gap, run.applied_force, scenario.seed, label)
+
+
 def _load(run: _Run):
     """External force on the Casimir arm as a function of the realized position d_r.
 
@@ -137,32 +145,30 @@ def _step_count(duration: float, dt: float) -> int:
     return n
 
 
-def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt: float,
-                 runs, *, stiffness: float | None = None, temperature: float = 300.0,
-                 thermal_noise: bool = False, actuator_mode: str, pzt_jitter: bool = False,
-                 delta_theta_min: float = math.inf, check_stability: bool = True,
-                 record=None) -> tuple:
-    """Check a run's settings, then advance ``len(runs)`` closed loops at once.
+def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -> tuple:
+    """Check a scenario's loop settings, then advance ``len(runs)`` closed loops at once.
 
-    The one entry to the loop. The plant is the instrument's balance on
-    ``stiffness`` (default: the fiber's) at ``temperature``, kicked each step
-    if ``thermal_noise``. The run takes ``_step_count(duration, dt)`` steps of
-    ``dt`` <= period/50, the PID samples every ``pid.sample_interval`` in whole
-    steps, and ``check_stability`` runs the pre-check before the first step.
+    The one entry to the loop, and the scenario is all its settings. The
+    plant is the instrument's balance on its fiber at ``forces.temperature``,
+    kicked each step if ``run.thermal_noise``. The run takes
+    ``_step_count(run.duration, run.dt)`` steps of ``run.dt`` <= period/50,
+    the PID samples every ``pid.sample_interval`` in whole steps, and
+    ``check_stability`` runs the pre-check before the first step.
 
-    Per step: PZT jitter (if ``pzt_jitter``) and the force at the realized
-    gap, quantized detector read, PID update, feedback torque in
-    ``actuator_mode``, and the exact propagator with the kick. Each run draws
-    its normals from ``np.random.default_rng(run.seed)`` in the per-step order
-    of the scalar stepper (PZT, then thermal), so a run gives the same bits
-    alone or in a batch. Only a loop that draws builds generators: one with
-    neither PZT jitter nor thermal kicks, the pre-check's among them, never
-    loads ``numpy.random``. Runs differ only in load, seed and label, and
-    either all have a gap or none has; a gap outside the PZT travel [0,
-    pzt_range] raises DomainError with or without jitter. The loop evaluates
-    each run's ``forces.force_law``, which gives the total force only.
-    |theta| over 1 rad, or over 100x ``delta_theta_min`` after the first
-    third, raises InstabilityError naming the run.
+    Per step: PZT jitter (if ``run.pzt_jitter``) and the force at the
+    realized gap, quantized detector read, PID update, feedback torque in
+    ``actuator_mode``, and the exact propagator with the kick. Each ``_Run``
+    draws its normals from ``np.random.default_rng`` of its seed in the
+    per-step order of the scalar stepper (PZT, then thermal), so a run gives
+    the same bits alone or in a batch. Only a loop that draws builds
+    generators: one with neither PZT jitter nor thermal kicks, the
+    pre-check's among them, never loads ``numpy.random``. Runs differ only in
+    load, seed and label, and either all have a gap or none has; a gap
+    outside the PZT travel [0, pzt_range] raises DomainError with or without
+    jitter. The loop evaluates each run's ``forces.force_law``, which gives
+    the total force only. |theta| over 1 rad, or over 100x
+    ``run.delta_theta_min`` after the first third, raises InstabilityError
+    naming the run.
 
     The loop steps in blocks of BLOCK_STEPS, each drawing its normals, if
     any, first. A step evaluates its load at its realized gap, so a gap that
@@ -174,17 +180,20 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     the final third. With no runs it returns ``(n, [])`` after the checks and
     the pre-check, without stepping.
     """
-    if duration <= 0 or dt <= 0:
-        raise DomainError("duration and dt must be positive")
-    if actuator_mode not in ACTUATOR_MODES:
-        raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
-    alpha = stiffness if stiffness is not None else torsion_constant(instrument.fiber)
-    plant = PlantParams(balance=instrument.balance, stiffness=alpha,
-                        temperature=temperature, thermal_noise=thermal_noise)
-    n = _step_count(duration, dt)
+    instrument, pid, run = scenario.instrument, scenario.pid, scenario.run
+    dt = run.dt
+    alpha = torsion_constant(instrument.fiber)
+    plant = PlantParams(instrument.balance, alpha, scenario.forces.temperature, run.thermal_noise)
+    n = _step_count(run.duration, dt)
     check_step(plant, dt)
+    sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
+    if quant > 0.0 and not sens * 1e6 / quant < math.inf:  # readings use |theta| <= 1 rad only
+        raise DomainError(
+            f"detector.sensitivity = {sens:.6g} mV/urad over detector.quantization = "
+            f"{quant:.6g} mV gives readings beyond the float range in quantization steps"
+        )
     if check_stability:
-        _stability_precheck(instrument, pid, plant, dt, actuator_mode)
+        _stability_precheck(scenario, plant)
     if not runs:
         return n, []
     k_ctrl = max(1, int(round(pid.sample_interval / dt)))  # plant steps per controller sample
@@ -194,7 +203,7 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
     column = (lambda a: a[:, 0].tolist()) if batch == 1 else (lambda a: a)
     table = (lambda values: values) if batch == 1 else np.array
 
-    jitter = pzt_jitter and runs[0].gap is not None
+    jitter = run.pzt_jitter and runs[0].gap is not None
     pzt_sigma = instrument.actuator.pzt_accuracy if jitter else 0.0
     kick_sigma = plant.thermal_sigma(dt)
     draws = (pzt_sigma > 0.0) + (kick_sigma > 0.0)
@@ -212,12 +221,12 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
         lambda d_r: np.array([f(x) for f, x in zip(loads, d_r.tolist())]))
     held = load(command) if pzt_sigma == 0.0 else None  # the gap is the command at every step
 
-    sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
     kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
-    feedback = _feedback_law(instrument.actuator, instrument.balance, actuator_mode, square)
+    feedback = _feedback_law(instrument.actuator, instrument.balance, scenario.actuator_mode,
+                             square)
     r_arm = instrument.balance.casimir_arm
     axx, axv, avx, avv = _propagator(alpha, plant.balance.moment_of_inertia, plant.gamma, dt)
-    settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * delta_theta_min)
+    settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * run.delta_theta_min)
     start = n - n // 3
     settled = np.empty((2, batch, n // 3))  # δV and θ over the final third
     # written one step at a time: 1-D rows for one run, (n/3, B) views for a batch
@@ -284,9 +293,8 @@ def _closed_loop(instrument: InstrumentSpec, pid: PidConfig, duration: float, dt
                 float(np.sqrt(np.mean(np.square(th, out=th))))) for dv, th in zip(*settled)]
 
 
-def _stability_precheck(instrument: InstrumentSpec, pid: PidConfig, plant: PlantParams,
-                        dt: float, actuator_mode: str) -> None:
-    """Short noiseless step-response run on ``plant``'s stiffness; raises if the loop diverges.
+def _stability_precheck(scenario, plant: PlantParams) -> None:
+    """Short noiseless step-response run of the scenario's loop on ``plant``; raises if it diverges.
 
     A 100 pN step is applied for six natural periods, with the controller
     sampling at ``pid.sample_interval`` as in the run. The angle envelope
@@ -296,6 +304,7 @@ def _stability_precheck(instrument: InstrumentSpec, pid: PidConfig, plant: Plant
     quantization and output saturation) is just as unusable as outright
     divergence.
     """
+    run, pid, dt = scenario.run, scenario.pid, scenario.run.dt
     n = int(round(6.0 * plant.period / dt))
     if n > MAX_STEPS:
         raise DomainError(
@@ -311,10 +320,11 @@ def _stability_precheck(instrument: InstrumentSpec, pid: PidConfig, plant: Plant
         peaks[0] = np.max(np.abs(theta[:max(per - k0, 0)]), initial=peaks[0])
         peaks[1] = np.max(np.abs(theta[max(n - per - k0, 0):]), initial=peaks[1])
 
-    open_loop = 100e-12 * instrument.balance.casimir_arm / plant.stiffness
+    open_loop = 100e-12 * scenario.instrument.balance.casimir_arm / plant.stiffness
+    step_test = replace(scenario, run=replace(run, duration=n * dt, thermal_noise=False,
+                                              pzt_jitter=False, delta_theta_min=math.inf))
     try:
-        _closed_loop(instrument, pid, n * dt, dt, [_Run(applied_force=100e-12)],
-                     stiffness=plant.stiffness, actuator_mode=actuator_mode, check_stability=False,
+        _closed_loop(step_test, [_Run(applied_force=100e-12)], check_stability=False,
                      record=record)
     except InstabilityError:
         raise InstabilityError(
@@ -344,34 +354,16 @@ class NullMeasurementResult:
     settled_theta_rms: float
 
 
-def run_null_measurement(
-    instrument: InstrumentSpec,
-    pid: PidConfig,
-    duration: float,
-    dt: float,
-    *,
-    stiffness: float | None = None,
-    forces: ForceModelParams | None = None,
-    gap: GapState | None = None,
-    applied_force: float = 0.0,
-    actuator_mode: str = "linear",
-    thermal_noise: bool = False,
-    pzt_jitter: bool = False,
-    temperature: float = 300.0,
-    seed: int = 0,
-    check_stability: bool = True,
-    delta_theta_min: float = 1e-7,
-) -> NullMeasurementResult:
-    """Run the closed loop for ``duration`` seconds and return the record.
+def run_null_measurement(scenario, *, check_stability: bool = True) -> NullMeasurementResult:
+    """Run the scenario's own closed loop and return its record.
 
-    The external force on the Casimir arm is ``applied_force`` plus, when
-    a force model and gap are given, the model total at the realized gap.
-    The steady readout is the mean output voltage over the final third of
-    the run. Divergence beyond 100x ``delta_theta_min`` after the first
-    third of the run raises InstabilityError.
+    The external force on the Casimir arm is ``run.applied_force`` plus,
+    when a force component is on, the model total at the realized gap
+    (``run.position`` with ``run.pzt_jitter``). The steady readout is the
+    mean output voltage over the final third of the run. Divergence beyond
+    100x ``run.delta_theta_min`` after the first third of the run raises
+    InstabilityError.
     """
-    if forces is not None and gap is None:
-        raise DomainError("a gap state is required when a force model is enabled")
     columns = [array("d") for _ in range(5)]
 
     def record(k0, t, reading, delta_v, theta, d_r, f_ext):
@@ -379,10 +371,6 @@ def run_null_measurement(
             column.extend(block)
 
     _, ((steady, theta_mean, theta_rms),) = _closed_loop(
-        instrument, pid, duration, dt, [_Run(forces, gap, applied_force, seed)],
-        stiffness=stiffness, temperature=temperature, thermal_noise=thermal_noise,
-        actuator_mode=actuator_mode, pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
-        check_stability=check_stability, record=record,
-    )
+        scenario, [_scenario_run(scenario)], check_stability=check_stability, record=record)
     return NullMeasurementResult(*(np.frombuffer(c) for c in columns),
                                  steady, theta_mean, theta_rms)

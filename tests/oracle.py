@@ -13,18 +13,19 @@ breakdown) use them too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from torsionlab.constants import CONSTANTS
-from torsionlab.control import _closed_loop, _feedback_law, _Run
+from torsionlab.control import _closed_loop, _feedback_law, _scenario_run
 from torsionlab.dynamics import (PlantParams, _damping_coefficient, _propagator,
                                  _round_half_away, check_step)
 from torsionlab.errors import DomainError
-from torsionlab.forces import total_force
+from torsionlab.forces import ForceModelParams, total_force
 from torsionlab.instrument import ActuatorSpec, BalanceSpec, DetectorSpec, GapState, PidConfig
+from torsionlab.scenario import RunSchedule, Scenario
 
 
 def thermal_torque_sample(
@@ -180,24 +181,40 @@ def feedback_torque(
     return _feedback_law(spec, balance, mode)(delta_v)
 
 
-def traced_run(instrument, pid, duration, dt, rows, *, forces=None, gap=None,
-               applied_force=0.0, actuator_mode="linear", thermal_noise=False,
-               pzt_jitter=False, temperature=300.0, seed=0, check_stability=True,
-               delta_theta_min=1e-7):
-    """``run_null_measurement`` through the kernel, appending a TraceRow per finished step.
+def loop_scenario(instrument, pid, duration, dt, *, forces=None, gap=None, applied_force=0.0,
+                  actuator_mode="linear", thermal_noise=False, pzt_jitter=False,
+                  temperature=300.0, seed=0, delta_theta_min=1e-7) -> Scenario:
+    """The Scenario whose own run is the scalar loop's run with these settings.
+
+    The keywords are those of ``scalar_loop`` in ``tests/test_loop_oracle.py``,
+    so a test can step both loops on one set of settings. As in a scenario,
+    a gap goes with a force model.
+    """
+    placed = {} if gap is None else dict(contact_offset=gap.contact_offset,
+                                         position=gap.relative_position)
+    return Scenario(
+        instrument=instrument, pid=pid, actuator_mode=actuator_mode, seed=seed,
+        forces=replace(forces or ForceModelParams(components=frozenset()),
+                       temperature=temperature),
+        run=RunSchedule(dt=dt, duration=duration, applied_force=applied_force,
+                        thermal_noise=thermal_noise, pzt_jitter=pzt_jitter,
+                        delta_theta_min=delta_theta_min, **placed),
+    )
+
+
+def traced_run(scenario, rows, *, check_stability=True):
+    """The scenario's own run through the kernel, appending a TraceRow per finished step.
 
     Each row carries the per-component force breakdown at the realized gap,
     which the kernel does not compute. Returns the steady readout.
     """
+    run = _scenario_run(scenario)
+
     def record(k0, t, reading, delta_v, theta, d_r, f_ext):
         for row in zip(t, theta, d_r, reading):
-            rows.append(TraceRow(*row, forces={} if forces is None else total_force(
-                forces, GapState(gap.contact_offset, row[2])).components))
+            rows.append(TraceRow(*row, forces={} if run.forces is None else total_force(
+                run.forces, GapState(run.gap.contact_offset, row[2])).components))
 
-    _, ((steady, _, _),) = _closed_loop(
-        instrument, pid, duration, dt, [_Run(forces, gap, applied_force, seed)],
-        temperature=temperature, thermal_noise=thermal_noise, actuator_mode=actuator_mode,
-        pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
-        check_stability=check_stability, record=record,
-    )
+    _, ((steady, _, _),) = _closed_loop(scenario, [run], check_stability=check_stability,
+                                        record=record)
     return steady

@@ -5,6 +5,7 @@ pass/fail line each. Run with ``pytest tests/test_acceptance.py -v -s``.
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from torsionlab import (
     InstrumentSpec,
     PidConfig,
     PlantParams,
+    RunSchedule,
+    Scenario,
     SphereSpec,
     VoltageState,
     casimir_force_ideal,
@@ -42,6 +45,7 @@ EPS0 = 8.8541878128e-12
 ALPHA_DEFAULT = torsion_constant(FiberSpec())          # 2.9478e-6 N m/rad
 BETA_TRUE = EPS0 * 1e-4 * 10.0 / 1e-3**2               # linear actuator, equal arms
 IDEAL_DETECTOR = DetectorSpec(sensitivity=0.5, quantization=0.0)
+NO_FORCES = ForceModelParams(components=frozenset())
 
 
 @contextmanager
@@ -102,7 +106,8 @@ def test_criterion_06_closed_loop_null_and_linearity():
 
         def run(force):
             return run_null_measurement(
-                instrument, pid, 300.0, 0.05, applied_force=force, seed=0,
+                Scenario(instrument=instrument, pid=pid, forces=NO_FORCES, seed=0,
+                         run=RunSchedule(dt=0.05, duration=300.0, applied_force=force)),
                 check_stability=(force == 100e-12),
             )
 
@@ -123,10 +128,13 @@ def test_criterion_07_equipartition():
         )
         dt = plant.period / 100.0
         # the open loop: zero gains, so the kernel steps the free pendulum
+        # on the default fiber, whose torsion constant is ALPHA_DEFAULT
         theta = run_null_measurement(
-            InstrumentSpec(balance=plant.balance), PidConfig(kp=0.0, ki=0.0, kd=0.0),
-            1_000_000 * dt, dt, stiffness=plant.stiffness, thermal_noise=True,
-            temperature=plant.temperature, seed=1, check_stability=False,
+            Scenario(instrument=InstrumentSpec(balance=plant.balance),
+                     pid=PidConfig(kp=0.0, ki=0.0, kd=0.0),
+                     forces=replace(NO_FORCES, temperature=plant.temperature), seed=1,
+                     run=RunSchedule(dt=dt, duration=1_000_000 * dt, thermal_noise=True)),
+            check_stability=False,
         ).theta
         assert len(theta) == 1_000_000
         measured = float(np.mean(theta[100_000:] ** 2))
@@ -152,10 +160,11 @@ def _run_calibration(quantization_mv):
     instrument = InstrumentSpec(
         detector=DetectorSpec(sensitivity=0.5, quantization=quantization_mv)
     )
-    return run_electrostatic_calibration(
-        instrument, PidConfig(), _calibration_forces(), D0_TRUE,
-        CAL_POSITIONS, CAL_VOLTAGES, duration=240.0, dt=0.05, seed=7,
-    )
+    return run_electrostatic_calibration(Scenario(
+        instrument=instrument, pid=PidConfig(), forces=_calibration_forces(), seed=7,
+        run=RunSchedule(dt=0.05, duration=240.0, contact_offset=D0_TRUE,
+                        positions=CAL_POSITIONS, voltages=CAL_VOLTAGES),
+    ))
 
 
 def _injected_v0(d):

@@ -11,6 +11,8 @@ from torsionlab import (
     ForceModelParams,
     InstrumentSpec,
     PidConfig,
+    RunSchedule,
+    Scenario,
     SphereSpec,
     VoltageState,
     calibrate_sweeps,
@@ -167,6 +169,14 @@ QUANTIZED_INSTRUMENT = InstrumentSpec(detector=DetectorSpec(sensitivity=0.5, qua
 PID = PidConfig()
 
 
+def _calibration(forces, positions, voltages, **run):
+    """run_electrostatic_calibration on the ideal instrument, contact at 10 um."""
+    return run_electrostatic_calibration(Scenario(
+        instrument=IDEAL_INSTRUMENT, pid=PID, forces=forces, seed=0,
+        run=RunSchedule(contact_offset=10e-6, positions=tuple(positions),
+                        voltages=tuple(voltages), **run)))
+
+
 def _forces(v0=0.02, slope=0.0):
     return ForceModelParams(
         sphere=SphereSpec(0.155),
@@ -179,7 +189,7 @@ def _forces(v0=0.02, slope=0.0):
 class TestSimulatedCalibration:
     def test_single_position_sweep_recovers_v0_through_quantization(self):
         # end-to-end parabola at d = 5 um with a 0.1 mV detector step
-        from torsionlab import GapState, run_null_measurement
+        from torsionlab import run_null_measurement
 
         v0_true = 0.02
         volts = np.linspace(v0_true - 0.2, v0_true + 0.2, 7)
@@ -192,9 +202,10 @@ class TestSimulatedCalibration:
                 components=forces.components,
             )
             result = run_null_measurement(
-                QUANTIZED_INSTRUMENT, PID, 240.0, 0.05,
-                forces=forces, gap=GapState(10e-6, 5e-6),
-                seed=j, check_stability=(j == 0),
+                Scenario(instrument=QUANTIZED_INSTRUMENT, pid=PID, forces=forces, seed=j,
+                         run=RunSchedule(dt=0.05, duration=240.0, contact_offset=10e-6,
+                                         position=5e-6)),
+                check_stability=(j == 0),
             )
             samples.append((float(v), result.steady_delta_v))
         fit = parabola_fit(VoltageSweep(d_r=5e-6, samples=tuple(samples)))
@@ -203,10 +214,7 @@ class TestSimulatedCalibration:
     def test_noiseless_pipeline_round_trip(self):
         positions = [1e-6, 3.25e-6, 5.5e-6, 7e-6, 8e-6]
         volts = np.linspace(-0.08, 0.12, 7)
-        result = run_electrostatic_calibration(
-            IDEAL_INSTRUMENT, PID, _forces(v0=0.02), 10e-6, positions, volts,
-            duration=200.0, dt=0.05,
-        )
+        result = _calibration(_forces(v0=0.02), positions, volts, duration=200.0, dt=0.05)
         assert result.d0 == pytest.approx(10e-6, rel=1e-3)
         assert result.beta == pytest.approx(BETA_TRUE, rel=1e-3)
         for d, v0 in result.v0_profile:
@@ -216,10 +224,8 @@ class TestSimulatedCalibration:
         positions = [2e-6, 4e-6, 6e-6, 7.5e-6, 8.5e-6]
         volts = np.linspace(-0.08, 0.12, 7)
         slope = 5e-3
-        result = run_electrostatic_calibration(
-            IDEAL_INSTRUMENT, PID, _forces(v0=0.02, slope=slope), 10e-6,
-            positions, volts, duration=200.0, dt=0.05,
-        )
+        result = _calibration(_forces(v0=0.02, slope=slope), positions, volts,
+                              duration=200.0, dt=0.05)
         for d_r in positions:
             d_true = 10e-6 - d_r
             injected = 0.02 + slope * math.log10(d_true / 1e-6)
@@ -233,26 +239,17 @@ class TestSimulatedCalibration:
             InstabilityError,
             match=r"in the run at d_r = 7e-06 m, V = 10 V with gains kp=0\.5, ki=0\.08",
         ):
-            run_electrostatic_calibration(
-                IDEAL_INSTRUMENT, PID, _forces(), 10e-6,
-                [1e-6, 3e-6, 5e-6, 7e-6], [-0.1, 0.0, 0.1, 0.2, 10.0],
-                duration=60.0, dt=0.05,
-            )
+            _calibration(_forces(), [1e-6, 3e-6, 5e-6, 7e-6], [-0.1, 0.0, 0.1, 0.2, 10.0],
+                         duration=60.0, dt=0.05)
 
     def test_two_positions_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            run_electrostatic_calibration(
-                IDEAL_INSTRUMENT, PID, _forces(), 10e-6,
-                [2e-6, 4e-6], np.linspace(-0.1, 0.1, 7),
-                duration=120.0, dt=0.05,
-            )
+            _calibration(_forces(), [2e-6, 4e-6], np.linspace(-0.1, 0.1, 7),
+                         duration=120.0, dt=0.05)
 
     def test_positions_must_increase_toward_contact(self):
         with pytest.raises(DomainError):
-            run_electrostatic_calibration(
-                IDEAL_INSTRUMENT, PID, _forces(), 10e-6,
-                [4e-6, 2e-6, 6e-6, 8e-6], np.linspace(-0.1, 0.1, 7),
-            )
+            _calibration(_forces(), [4e-6, 2e-6, 6e-6, 8e-6], np.linspace(-0.1, 0.1, 7))
 
 
 class TestDecomposeResidual:

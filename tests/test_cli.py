@@ -13,7 +13,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from torsionlab import ConfigError, GapState, cli, control, run_null_measurement
+from torsionlab import (ConfigError, cli, control, run_electrostatic_calibration,
+                        run_null_measurement)
 from torsionlab.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_NUMERICAL, EXIT_OK, main
 from torsionlab.manifest import verify_manifest
 from torsionlab.scenario import load_scenario
@@ -159,20 +160,13 @@ class TestSimulate:
         assert peaks[1] - peaks[0] < 2 * 2**20
 
     def test_matches_run_null_measurement(self, tmp_path):
-        # simulate maps the scenario onto the kernel's settings in its own call;
-        # run_null_measurement given the same settings must step the same run.
+        # simulate and run_null_measurement both step the scenario's own run:
+        # the loaded scenario must give the same rows and readout.
         cfg = _cfg(tmp_path, "run.duration = 60 s\nrun.position = 8 um\n"
                              "run.thermal_noise = true\nrun.pzt_jitter = true\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        scenario = load_scenario(cfg)
-        run = scenario.run
-        result = run_null_measurement(
-            scenario.instrument, scenario.pid, run.duration, run.dt, forces=scenario.forces,
-            gap=GapState(run.contact_offset, run.position), applied_force=run.applied_force,
-            actuator_mode=scenario.actuator_mode, thermal_noise=run.thermal_noise,
-            pzt_jitter=run.pzt_jitter, temperature=scenario.forces.temperature,
-            seed=scenario.seed, delta_theta_min=run.delta_theta_min)
+        result = run_null_measurement(load_scenario(cfg))
         columns = (result.t, result.error_mv, result.delta_v, result.theta,
                    result.applied_force)
         rows = (out / "timeseries.csv").read_text().splitlines()[1:]
@@ -275,6 +269,33 @@ class TestCalibrate:
         eps0 = 8.8541878128e-12
         assert report["beta_N_per_V"] == pytest.approx(eps0 * 1e-4 * 10.0 / 1e-3**2, rel=1e-3)
         assert all(abs(row["V0_V"] - 0.02) < 1e-4 for row in report["v0_profile"])
+
+    def test_matches_run_electrostatic_calibration(self, tmp_path):
+        # calibrate hands the loaded scenario to run_electrostatic_calibration:
+        # the report holds that call's values
+        cfg = _cfg(
+            tmp_path,
+            "forces.components = electrostatic\n"
+            "forces.v0 = 20 mV\n"
+            "forces.v0_log_slope = 5 mV\n"
+            "detector.quantization = 0 V\n"
+            "run.contact_offset = 10 um\n"
+            "run.positions = 1 um, 3 um, 5.5 um, 8 um\n"
+            "run.voltages = -80 mV, -30 mV, 20 mV, 70 mV, 120 mV\n"
+            "run.duration = 60 s\n",
+        )
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "calibration_report.json").read_text())
+        result = run_electrostatic_calibration(load_scenario(cfg))
+        assert (report["d0_m"], report["beta_N_per_V"], report["prefactor_Vm_per_V2"],
+                report["sphere_radius_m"]) == (
+            result.d0, result.beta, result.prefactor, result.sphere_radius)
+        assert report["v0_profile"] == [{"d_m": d, "V0_V": v0} for d, v0 in result.v0_profile]
+        assert [(row["d_r_m"], row["V0_V"], row["curvature_per_V"], row["failed"])
+                for row in report["positions"]] == [
+            (p.d_r, p.fit.v0, p.fit.curvature, p.failed) for p in result.positions]
+        assert len(result.positions) == 4 and not any(p.failed for p in result.positions)
 
     def test_wrong_header_schema_error(self, tmp_path):
         data = tmp_path / "bad.csv"
@@ -494,11 +515,13 @@ class TestSweepPointScenario:
     def _sweep_points(self, tmp_path, text):
         cfg = _cfg(tmp_path, text)
         for axis in self.AXES:
-            with mock.patch.object(cli, "_scenario_loop", wraps=cli._scenario_loop) as loop:
+            # cli looks the kernel up at call time, and so does the pre-check
+            with mock.patch.object(control, "_closed_loop", wraps=control._closed_loop) as loop:
                 assert main(["sweep", "--axis", axis, "--config", str(cfg),
                              "--out", str(tmp_path / axis), "--workers", "2"]) == EXIT_OK
-            checks, *points = loop.call_args_list
+            checks, step_test, *points = loop.call_args_list
             assert checks.args == (load_scenario(cfg), [])  # the settings, before any point
+            assert step_test.args[1] == [control._Run(applied_force=100e-12)]  # its pre-check
             self._check(cfg, axis, [c.args[0] for c in points])
 
     def test_serial_point_runs_the_loaded_scenario(self, tmp_path):
@@ -644,6 +667,10 @@ class TestBadInputExitCode:
                                 "run.contact_offset"),
         "tiny_contact_offset": ([], "run.duration = 20 s\nrun.contact_offset = 1e-300 m\n",
                                 "run.contact_offset"),
+        # a reading of 1 rad, in quantization steps, is beyond the float range
+        "quantization_too_fine_for_sensitivity": (
+            [], "detector.sensitivity = 1e10 mV/urad\ndetector.quantization = 1e-300 mV\n",
+            "detector.quantization"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -661,6 +688,18 @@ class TestBadInputExitCode:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "run.contact_offset" in err and "run.positions" in err
+
+
+    @pytest.mark.parametrize("argv,text", [
+        (["calibrate"], "run.positions = 1 um, 2 um\nrun.voltages = -0.1 V, 0 V, 0.1 V\n"),
+        (["sweep", "--axis", "force"], "run.forces = 10 pN, 20 pN\n"),
+    ], ids=["calibrate", "sweep"])
+    def test_quantization_too_fine_for_sensitivity_names_both_keys(self, tmp_path, capsys,
+                                                                   argv, text):
+        cfg = _cfg(tmp_path, self.CASES["quantization_too_fine_for_sensitivity"][1] + text)
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "detector.sensitivity" in err and "detector.quantization" in err
 
 
 class TestBudgetBadInputExitCode:

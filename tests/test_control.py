@@ -2,12 +2,13 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracle import traced_run
+from oracle import loop_scenario, traced_run
 from torsionlab import (
     ActuatorSpec,
     BalanceSpec,
@@ -18,12 +19,15 @@ from torsionlab import (
     InstrumentSpec,
     PidConfig,
     PlantParams,
+    RunSchedule,
+    Scenario,
     SphereSpec,
     VoltageState,
     run_null_measurement,
     torsion_constant,
 )
-from torsionlab.control import BLOCK_STEPS, MAX_STEPS, _feedback_law, _step_count
+from torsionlab.control import (BLOCK_STEPS, MAX_STEPS, _closed_loop, _feedback_law, _Run,
+                                _step_count)
 from torsionlab.errors import DomainError, InstabilityError
 from test_loop_oracle import scalar_loop
 
@@ -32,6 +36,13 @@ EPS0 = 8.8541878128e-12
 # Noise-free detector for exact-linearity runs.
 IDEAL = InstrumentSpec(detector=DetectorSpec(sensitivity=0.5, quantization=0.0))
 PID = PidConfig()
+NO_FORCES = ForceModelParams(components=frozenset())
+
+
+def _scenario(instrument=IDEAL, pid=PID, *, forces=NO_FORCES, seed=0, **run):
+    """A scenario on these settings; its own run has no force model unless given one."""
+    return Scenario(instrument=instrument, pid=pid, forces=forces, seed=seed,
+                    run=RunSchedule(**run))
 
 # linear-mode force conversion for the default actuator and arms
 BETA_TRUE = EPS0 * 1e-4 * 10.0 / 1e-3**2  # N per volt at the Casimir arm
@@ -41,14 +52,15 @@ class TestPidStep:
     """The controller update, seen in the kernel's error_mv and delta_v columns."""
 
     def test_zero_error_leaves_state_unchanged(self):
-        result = run_null_measurement(IDEAL, PID, 30.0, 0.05)
+        result = run_null_measurement(_scenario(duration=30.0))
         assert np.all(result.error_mv == 0.0)
         assert np.all(result.delta_v == 0.0)
 
     def test_pure_proportional(self):
         cfg = PidConfig(kp=0.7, ki=0.0, kd=0.0)
-        result = run_null_measurement(IDEAL, cfg, 30.0, 0.05, applied_force=100e-12,
-                                      check_stability=False, delta_theta_min=1.0)
+        result = run_null_measurement(
+            _scenario(pid=cfg, duration=30.0, applied_force=100e-12, delta_theta_min=1.0),
+            check_stability=False)
         assert np.any(result.error_mv != 0.0)
         assert result.delta_v == pytest.approx(0.7 * result.error_mv, rel=1e-15, abs=0.0)
 
@@ -56,8 +68,8 @@ class TestPidStep:
         instrument = InstrumentSpec(detector=DetectorSpec(sensitivity=0.5, quantization=0.1))
 
         def run():
-            result = run_null_measurement(instrument, PID, 30.0, 0.05, thermal_noise=True,
-                                          seed=1)
+            result = run_null_measurement(
+                _scenario(instrument, duration=30.0, thermal_noise=True, seed=1))
             return result.error_mv.tobytes(), result.delta_v.tobytes()
 
         assert run() == run()
@@ -65,14 +77,16 @@ class TestPidStep:
     def test_saturation_clamps_output_and_integral(self):
         # 100 nN needs about 11 V of feedback, beyond both limits below
         cfg = PidConfig(kp=1.0, ki=10.0, kd=0.0, output_limit=2.0, integral_limit=1.5)
-        saturated = run_null_measurement(IDEAL, cfg, 30.0, 0.05, applied_force=100e-9,
-                                         check_stability=False, delta_theta_min=1.0)
+        saturated = run_null_measurement(
+            _scenario(pid=cfg, duration=30.0, applied_force=100e-9, delta_theta_min=1.0),
+            check_stability=False)
         assert np.max(np.abs(saturated.delta_v)) == cfg.output_limit
         # a tiny kp keeps the output below its limit, so delta_v - kp * error is the
         # integral term alone: clamped at its limit, not wound up
         cfg = PidConfig(kp=1e-4, ki=10.0, kd=0.0, output_limit=2.0, integral_limit=1.5)
-        result = run_null_measurement(IDEAL, cfg, 30.0, 0.05, applied_force=100e-9,
-                                      check_stability=False, delta_theta_min=1.0)
+        result = run_null_measurement(
+            _scenario(pid=cfg, duration=30.0, applied_force=100e-9, delta_theta_min=1.0),
+            check_stability=False)
         assert np.max(np.abs(result.delta_v)) < cfg.output_limit
         integral = result.delta_v - cfg.kp * result.error_mv
         assert np.max(np.abs(integral)) == pytest.approx(cfg.integral_limit, rel=1e-12)
@@ -124,7 +138,7 @@ class TestFeedbackTorque:
 
 def _run(force, duration=300.0, seed=0, **kwargs):
     return run_null_measurement(
-        IDEAL, PID, duration, 0.05, applied_force=force, seed=seed, **kwargs
+        _scenario(duration=duration, applied_force=force, seed=seed), **kwargs
     )
 
 
@@ -162,8 +176,7 @@ class TestNullMeasurement:
     def test_thermal_noise_residual_within_quantization_angle(self):
         instrument = InstrumentSpec(detector=DetectorSpec(sensitivity=0.5, quantization=0.1))
         result = run_null_measurement(
-            instrument, PID, 400.0, 0.05,
-            thermal_noise=True, temperature=300.0, seed=123,
+            _scenario(instrument, duration=400.0, thermal_noise=True, seed=123)
         )
         # quantization-equivalent angle: 0.1 mV at 0.5 mV/urad = 0.2 urad
         assert result.settled_theta_rms <= 0.2e-6
@@ -173,8 +186,8 @@ class TestNullMeasurement:
         # readout fluctuation exactly for a shared noise stream
         def rms_fluct(T):
             result = run_null_measurement(
-                IDEAL, PID, 300.0, 0.05,
-                thermal_noise=True, temperature=T, seed=99,
+                _scenario(forces=replace(NO_FORCES, temperature=T),
+                          duration=300.0, thermal_noise=True, seed=99)
             )
             tail = result.delta_v[len(result.delta_v) * 2 // 3:]
             return float(np.sqrt(np.mean((tail - tail.mean()) ** 2)))
@@ -184,7 +197,7 @@ class TestNullMeasurement:
     def test_unstable_gains_raise_and_name_gains(self):
         bad = PidConfig(kp=-0.5, ki=0.0, kd=0.0)
         with pytest.raises(InstabilityError, match="kp=-0.5"):
-            run_null_measurement(IDEAL, bad, 60.0, 0.05, applied_force=1e-10)
+            run_null_measurement(_scenario(pid=bad, duration=60.0, applied_force=1e-10))
 
     def test_record_costs_little_more_than_its_columns(self):
         # The record is collected a block at a time into the five columns it
@@ -215,8 +228,7 @@ class TestNullMeasurement:
             components=frozenset({"patch", "casimir_ideal"}),
         )
         traced_run(
-            IDEAL, PID, 30.0, 0.05, rows,
-            forces=forces, gap=GapState(10e-6, 4e-6),
+            _scenario(forces=forces, duration=30.0, contact_offset=10e-6, position=4e-6), rows,
         )
         assert len(rows) == 600
         first = rows[0]
@@ -251,15 +263,15 @@ class TestStepCap:
 
 
 class TestPztRange:
+    # A scenario refuses such a run.position itself, so the run goes to the
+    # kernel directly: its own travel check is the one under test.
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("d_r", [-1e-6, 20e-6])
     def test_command_outside_travel_raises_in_both_jitter_modes(self, jitter, d_r):
-        from torsionlab import ForceModelParams, GapState
-
         forces = ForceModelParams(components=frozenset({"electrostatic"}))
         with pytest.raises(DomainError, match=r"outside \[0, 1\.5e-05\] m"):
-            run_null_measurement(IDEAL, PID, 30.0, 0.05, forces=forces,
-                                 gap=GapState(30e-6, d_r), pzt_jitter=jitter)
+            _closed_loop(_scenario(duration=30.0, pzt_jitter=jitter),
+                         [_Run(forces, GapState(30e-6, d_r))])
 
 
 class TestForceLawInTheKernel:
@@ -283,9 +295,10 @@ class TestForceLawInTheKernel:
     def test_jittered_run_makes_no_total_force_calls(self, no_total_force):
         forces = ForceModelParams(voltages=VoltageState(applied=0.1, minimizing=0.02),
                                   v0_log_slope=5e-3, patch_exponent=2.7)
-        result = run_null_measurement(IDEAL, PID, 30.0, 0.05, forces=forces,
-                                      gap=GapState(10e-6, 5e-6), pzt_jitter=True, seed=3,
-                                      check_stability=False)
+        result = run_null_measurement(
+            _scenario(forces=forces, duration=30.0, contact_offset=10e-6, position=5e-6,
+                      pzt_jitter=True, seed=3),
+            check_stability=False)
         assert len(set(result.applied_force.tolist())) == len(result.applied_force)
 
     def test_closed_gap_raises_the_scalar_loop_error(self, no_total_force):
@@ -294,7 +307,8 @@ class TestForceLawInTheKernel:
             scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **self.CLOSING)
         assert 0 < len(steps) < 600
         with pytest.raises(DomainError) as kernel:
-            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False, **self.CLOSING)
+            run_null_measurement(loop_scenario(IDEAL, PID, 30.0, 0.05, **self.CLOSING),
+                                 check_stability=False)
         assert str(kernel.value) == str(oracle.value)
         assert str(kernel.value).startswith("absolute gap d = d0 - d_r = -")
 
@@ -303,7 +317,8 @@ class TestForceLawInTheKernel:
         with pytest.raises(DomainError):
             scalar_loop(IDEAL, PID, 30.0, 0.05, steps=steps, **self.CLOSING)
         with pytest.raises(DomainError):
-            traced_run(IDEAL, PID, 30.0, 0.05, rows, check_stability=False, **self.CLOSING)
+            traced_run(loop_scenario(IDEAL, PID, 30.0, 0.05, **self.CLOSING), rows,
+                       check_stability=False)
         assert len(rows) == len(steps)
         assert set(rows[0].forces) == {"electrostatic", "patch"}
 
@@ -315,7 +330,8 @@ class TestForceLawInTheKernel:
         with pytest.raises(DomainError) as oracle:
             scalar_loop(IDEAL, PID, 30.0, 0.05, **closing)
         with pytest.raises(DomainError) as kernel:
-            run_null_measurement(IDEAL, PID, 30.0, 0.05, check_stability=False, **closing)
+            run_null_measurement(loop_scenario(IDEAL, PID, 30.0, 0.05, **closing),
+                                 check_stability=False)
         assert str(kernel.value) == str(oracle.value)
         assert "d_r = -1e-10 m" not in str(kernel.value)
 
@@ -326,12 +342,14 @@ class TestForceLawInTheKernel:
                                               components=frozenset({"casimir_ideal"})),
                       gap=GapState(10e-6, 10e-6 - 2.01e-6), pzt_jitter=True,
                       thermal_noise=True, seed=0, delta_theta_min=1e-20)
+        scenario = loop_scenario(InstrumentSpec(), PID, 300.0, 0.05, **kwargs)
         outcomes = []
-        for loop, extra in ((scalar_loop, {}), (run_null_measurement, {"check_stability": False})):
+        for loop in (lambda: scalar_loop(InstrumentSpec(), PID, 300.0, 0.05, **kwargs),
+                     lambda: run_null_measurement(scenario, check_stability=False)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(InstabilityError) as exc:
-                    loop(InstrumentSpec(), PID, 300.0, 0.05, **kwargs, **extra)
+                    loop()
             outcomes.append(([(w.category, str(w.message)) for w in caught], str(exc.value)))
         assert len(outcomes[0][0]) > BLOCK_STEPS
         assert outcomes[1] == outcomes[0]

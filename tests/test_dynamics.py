@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from oracle import SimState, pzt_actual_position, step, traced_run
+from oracle import SimState, pzt_actual_position, step
 from torsionlab import (
     ActuatorSpec,
     BalanceSpec,
     DetectorSpec,
+    FiberSpec,
+    ForceModelParams,
     GapState,
     InstrumentSpec,
     PidConfig,
     PlantParams,
+    RunSchedule,
+    Scenario,
     natural_frequency,
     run_null_measurement,
 )
@@ -23,6 +27,7 @@ from torsionlab.dynamics import _propagator
 from torsionlab.errors import DomainError
 
 ALPHA_REF = 2.96e-6
+FIBER_REF = FiberSpec(length=0.19917510626358267)  # its torsion constant is ALPHA_REF exactly
 INERTIA = 3.24e-4
 OPEN_LOOP = PidConfig(kp=0.0, ki=0.0, kd=0.0)  # the loop reads but never acts
 
@@ -31,18 +36,26 @@ def _balance(Q=1000.0, inertia=INERTIA):
     return BalanceSpec(moment_of_inertia=inertia, quality_factor=Q)
 
 
+def _open_scenario(instrument, duration, dt, *, temperature=300.0, seed=0, **run):
+    """A zero-gain scenario with no force model: the loop reads but never acts."""
+    return Scenario(instrument=instrument, pid=OPEN_LOOP, seed=seed,
+                    forces=ForceModelParams(components=frozenset(), temperature=temperature),
+                    run=RunSchedule(dt=dt, duration=duration, delta_theta_min=1.0, **run))
+
+
 def _open_loop(plant, dt, n, *, torque=0.0, seed=0):
     """Angle after each of n steps of the free pendulum, from rest, under a held torque.
 
-    A zero-gain loop never acts, so the kernel steps the open-loop plant;
-    the torque enters as the force torque / casimir_arm on the Casimir arm.
+    A zero-gain loop never acts, so the kernel steps the open-loop plant on
+    the FIBER_REF fiber (stiffness ALPHA_REF); the torque enters as the force
+    torque / casimir_arm on the Casimir arm.
     """
-    instrument = InstrumentSpec(balance=plant.balance)
-    result = run_null_measurement(
-        instrument, OPEN_LOOP, n * dt, dt, stiffness=plant.stiffness,
+    assert plant.stiffness == ALPHA_REF
+    instrument = InstrumentSpec(fiber=FIBER_REF, balance=plant.balance)
+    result = run_null_measurement(_open_scenario(
+        instrument, n * dt, dt, temperature=plant.temperature, seed=seed,
         applied_force=torque / instrument.balance.casimir_arm,
-        thermal_noise=plant.thermal_noise, temperature=plant.temperature, seed=seed,
-        check_stability=False, delta_theta_min=1.0)
+        thermal_noise=plant.thermal_noise), check_stability=False)
     assert len(result.theta) == n
     return result.theta
 
@@ -78,10 +91,10 @@ class TestThermalTorque:
         def record(k0, t, reading, delta_v, th, *_):
             theta[:] = th[0]
 
-        _closed_loop(InstrumentSpec(balance=plant.balance), OPEN_LOOP, 10 * dt, dt,
-                     [_Run(seed=s) for s in seeds], stiffness=plant.stiffness,
-                     temperature=plant.temperature, thermal_noise=plant.thermal_noise,
-                     actuator_mode="linear", check_stability=False, record=record)
+        instrument = InstrumentSpec(fiber=FIBER_REF, balance=plant.balance)
+        _closed_loop(_open_scenario(instrument, 10 * dt, dt, temperature=plant.temperature,
+                                    thermal_noise=plant.thermal_noise),
+                     [_Run(seed=s) for s in seeds], check_stability=False, record=record)
         return theta * plant.stiffness / (1.0 - axx)
 
     def test_zero_temperature_is_silent(self):
@@ -150,11 +163,10 @@ class TestStep:
         plant = PlantParams(balance=balance, stiffness=ALPHA_REF)
         dt = plant.period / 100
         # the pendulum in the loop with zero gains: the detector column reads it
-        instrument = InstrumentSpec(balance=balance,
+        instrument = InstrumentSpec(fiber=FIBER_REF, balance=balance,
                                     detector=DetectorSpec(sensitivity=0.5, quantization=0.0))
-        result = run_null_measurement(instrument, OPEN_LOOP, 600.0, dt, stiffness=ALPHA_REF,
-                                      applied_force=1e-9, check_stability=False,
-                                      delta_theta_min=1.0)
+        result = run_null_measurement(_open_scenario(instrument, 600.0, dt, applied_force=1e-9),
+                                      check_stability=False)
         assert result.theta[-1] * 1e6 == pytest.approx(33.8, rel=2e-3)
         assert result.error_mv[-1] == pytest.approx(16.9, rel=2e-3)
 
@@ -216,10 +228,13 @@ class TestLangevin:
         assert np.array_equal(a, b)
 
     def test_zero_noise_from_zero_temperature_rest(self):
+        # a scenario's temperature is positive; at the least one, as at 0 K, the
+        # kick's sigma is exactly zero, so the run draws nothing
         plant = PlantParams(
             balance=_balance(Q=10.0), stiffness=ALPHA_REF,
-            temperature=0.0, thermal_noise=True,
+            temperature=5e-324, thermal_noise=True,
         )
+        assert plant.thermal_sigma(plant.period / 60) == 0.0
         theta = _open_loop(plant, plant.period / 60, 1000, seed=0)
         assert np.all(theta == 0.0)
 
@@ -231,10 +246,16 @@ class TestPzt:
 
     @staticmethod
     def _positions(actuator, steps):
-        rows = []
-        traced_run(InstrumentSpec(actuator=actuator), OPEN_LOOP, steps * 0.05, 0.05, rows,
-                   gap=GapState(10e-6, 5e-6), pzt_jitter=True, check_stability=False)
-        return np.array([row.d_r for row in rows])
+        # a gap with no force model: a kernel run, as a scenario's own run has none
+        positions = []
+
+        def record(k0, t, reading, delta_v, theta, d_r, f_ext):
+            positions.extend(d_r)
+
+        _closed_loop(_open_scenario(InstrumentSpec(actuator=actuator), steps * 0.05, 0.05,
+                                    pzt_jitter=True),
+                     [_Run(gap=GapState(10e-6, 5e-6))], check_stability=False, record=record)
+        return np.array(positions)
 
     def test_zero_jitter_is_identity(self):
         positions = self._positions(ActuatorSpec(pzt_accuracy=0.0), 100)
@@ -267,11 +288,10 @@ class TestDetector:
         # every quantization; at Q = 1 it settles on F r / alpha, and the last
         # reading is that of the settled angle.
         instrument = InstrumentSpec(
-            balance=_balance(Q=1.0),
+            fiber=FIBER_REF, balance=_balance(Q=1.0),
             detector=DetectorSpec(sensitivity=0.5, quantization=quantization))
-        result = run_null_measurement(instrument, OPEN_LOOP, 1200.0, 0.5, stiffness=ALPHA_REF,
-                                      applied_force=force, check_stability=False,
-                                      delta_theta_min=1.0)
+        result = run_null_measurement(_open_scenario(instrument, 1200.0, 0.5, applied_force=force),
+                                      check_stability=False)
         return result.error_mv[-1]
 
     def test_threshold_behavior(self):
@@ -287,7 +307,7 @@ class TestDetector:
         assert self._settled_reading(0.99 * self.THETA_0_1_URAD, step_mv) == 0.0
 
     def test_zero_angle(self):
-        result = run_null_measurement(InstrumentSpec(), OPEN_LOOP, 1.0, 0.05,
+        result = run_null_measurement(_open_scenario(InstrumentSpec(), 1.0, 0.05),
                                       check_stability=False)
         assert result.error_mv[0] == 0.0
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle import (PidState, SimState, detector_read, feedback_torque, pid_step,
+from oracle import (PidState, SimState, detector_read, feedback_torque, loop_scenario, pid_step,
                     pzt_actual_position, step, traced_run)
 from torsionlab import (
     DetectorSpec,
@@ -95,9 +95,9 @@ def scalar_loop(instrument, pid, duration, dt, *, forces=None, gap=None, applied
     return cols
 
 
-def kernel_batch(instrument, pid, runs, *, duration=DURATION, actuator_mode="linear",
-                 thermal_noise=False, pzt_jitter=False, delta_theta_min=1e-7, steps=None):
-    """The kernel's steady readouts and all five columns, shape (5, steps, B), of a batch."""
+def kernel_batch(scenario, runs, *, steps=None):
+    """The kernel's steady readouts and all five columns, shape (5, steps, B), of a batch
+    run on the scenario's loop settings."""
     blocks = []
 
     def record(k0, t, reading, delta_v, theta, d_r, f_ext):
@@ -106,10 +106,7 @@ def kernel_batch(instrument, pid, runs, *, duration=DURATION, actuator_mode="lin
         if steps is not None:
             steps.extend(range(k0, k0 + len(t)))
 
-    _, settled = _closed_loop(instrument, pid, duration, DT, runs,
-                              thermal_noise=thermal_noise, actuator_mode=actuator_mode,
-                              pzt_jitter=pzt_jitter, delta_theta_min=delta_theta_min,
-                              check_stability=False, record=record)
+    _, settled = _closed_loop(scenario, runs, check_stability=False, record=record)
     return [steady for steady, _, _ in settled], np.concatenate(blocks, axis=1)
 
 
@@ -151,19 +148,21 @@ def test_kernel_matches_scalar_loop_bit_for_bit(mode, quant, thermal, jitter, in
     oracle = [scalar_loop(instrument, pid, duration, DT, forces=r.forces, gap=r.gap,
                           seed=r.seed, **settings) for r in runs]
 
-    # B = 1 through the public single-run API
-    single = run_null_measurement(instrument, pid, duration, DT, forces=runs[4].forces,
-                                  gap=runs[4].gap, seed=runs[4].seed,
-                                  check_stability=False, **settings)
+    # B = 1 through the public single-run API: run 4 as a scenario's own run,
+    # which takes an integer seed
+    run_4 = dict(forces=runs[4].forces, gap=runs[4].gap, seed=4, **settings)
+    want_4 = scalar_loop(instrument, pid, duration, DT, **run_4)
+    single = run_null_measurement(loop_scenario(instrument, pid, duration, DT, **run_4),
+                                  check_stability=False)
     got = (single.t, single.error_mv, single.delta_v, single.theta, single.applied_force)
-    for column, want in zip(got, oracle[4]):
+    for column, want in zip(got, want_4):
         assert bits(column) == bits(want)
-    tail = oracle[4][3][steps - steps // 3:]
+    tail = want_4[3][steps - steps // 3:]
     assert (single.settled_theta_mean, single.settled_theta_rms) == (
         float(np.mean(tail)), float(np.sqrt(np.mean(tail ** 2))))
 
     # B = 9 batch: every column of every run, and the steady readouts
-    steady, batch = kernel_batch(instrument, pid, runs, duration=duration, **settings)
+    steady, batch = kernel_batch(loop_scenario(instrument, pid, duration, DT, **settings), runs)
     for b, want in enumerate(oracle):
         assert bits(batch[:, :, b]) == bits(want)
     assert steady == [float(np.mean(c[2][steps - steps // 3:])) for c in oracle]
@@ -178,8 +177,8 @@ def test_unstable_single_run_diverges_at_the_same_step():
     with pytest.raises(InstabilityError) as oracle_exc:
         scalar_loop(IDEAL, UNSTABLE, DURATION * 2, DT, applied_force=1e-10, steps=want_steps)
     with pytest.raises(InstabilityError) as kernel_exc:
-        traced_run(IDEAL, UNSTABLE, DURATION * 2, DT, got_rows, applied_force=1e-10,
-                   check_stability=False)
+        traced_run(loop_scenario(IDEAL, UNSTABLE, DURATION * 2, DT, applied_force=1e-10),
+                   got_rows, check_stability=False)
     assert len(got_rows) == len(want_steps) < int(round(DURATION * 2 / DT))
     assert str(kernel_exc.value) == str(oracle_exc.value)
 
@@ -199,7 +198,7 @@ def test_unstable_batch_diverges_at_the_first_failing_step_and_names_the_run():
 
     steps = []
     with pytest.raises(InstabilityError) as exc:
-        kernel_batch(IDEAL, UNSTABLE, runs, steps=steps)
+        kernel_batch(loop_scenario(IDEAL, UNSTABLE, DURATION, DT), runs, steps=steps)
     assert steps[-1] == first_step
     assert str(exc.value) == failures[first][1].replace(
         " with gains", f" in the run at {runs[first].label} with gains"
