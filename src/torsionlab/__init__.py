@@ -23,7 +23,7 @@ _EXPORTS = {
                        "ResidualDecomposition VoltageSweep calibrate_sweeps contact_point_fit "
                        "decompose_residual michelson_calibrate parabola_fit "
                        "run_electrostatic_calibration synthetic_michelson_trace",
-        "dynamics": "PlantParams natural_frequency",
+        "dynamics": "natural_frequency",
         "errors": "ConfigError DomainError InstabilityError NumericalError SchemaError "
                   "TorsionLabError",
         "forces": "ForceBreakdown ForceModelParams casimir_force_ideal casimir_force_thermal "

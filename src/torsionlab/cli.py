@@ -223,12 +223,7 @@ def _budget_text(report) -> str:
 
 @_command("budget")
 def cmd_budget(args, scenario, out):
-    report = build_report(
-        scenario.instrument,
-        scenario.forces,
-        delta_theta_min=scenario.run.delta_theta_min,
-        reference_distance=scenario.reference_distance,
-    )
+    report = build_report(scenario)
     payload = {
         "delta_theta_min_rad": report.delta_theta_min,
         "delta_theta_thermal_rad": report.delta_theta_thermal,
@@ -297,9 +292,6 @@ def cmd_sweep(args, scenario, out):
     values = list(getattr(run, swept))
     if not values:
         raise ConfigError(f"sweep over {args.axis} needs run.{swept} in the scenario")
-    # The settings and the pre-check do not depend on the swept value: check
-    # them once here, before any point runs.
-    _closed_loop(scenario, [])
     # only a run that draws reads its seed, so a noiseless sweep needs no numpy.random
     draws = run.thermal_noise or run.pzt_jitter
     if draws:
@@ -308,8 +300,9 @@ def cmd_sweep(args, scenario, out):
     for i, v in enumerate(values):
         seed = int(SeedSequence([scenario.seed, i]).generate_state(1)[0]) if draws else scenario.seed
         point = replace(scenario, seed=seed, run=replace(run, **{key: v}))
+        # the pre-check reads neither the swept value nor the seed: the first point runs it
         _, ((steady, _, theta_rms),) = _closed_loop(
-            point, [_scenario_run(point, f"{name} = {v:.4g} {unit}")], check_stability=False)
+            point, [_scenario_run(point, f"{name} = {v:.4g} {unit}")], check_stability=i == 0)
         rows.append((i, v, steady, theta_rms))
     header = ("index", f"{name}_{unit}", "steady_deltaV_V", "settled_theta_rms_rad")
     path = _write_csv(out / "sweep_summary.csv", header, rows)

@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS
-from .dynamics import PlantParams, _propagator, _round_half_away, check_step
+from .dynamics import (_damping_coefficient, _propagator, _round_half_away, check_step,
+                       natural_frequency)
 from .errors import DomainError, InstabilityError
 from .forces import ForceModelParams, force_law, torsion_constant
 from .instrument import ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, PidConfig
@@ -149,8 +150,8 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
     """Check a scenario's loop settings, then advance ``len(runs)`` closed loops at once.
 
     The one entry to the loop, and the scenario is all its settings. The
-    plant is the instrument's balance on its fiber at ``forces.temperature``,
-    kicked each step if ``run.thermal_noise``. The run takes
+    plant is the instrument's balance (Q > 0.5) on its fiber at
+    ``forces.temperature``, kicked each step if ``run.thermal_noise``. The run takes
     ``_step_count(run.duration, run.dt)`` steps of ``run.dt`` <= period/50,
     the PID samples every ``pid.sample_interval`` in whole steps, and
     ``check_stability`` runs the pre-check before the first step.
@@ -177,15 +178,15 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
     on, up to any error: lists of floats for one run, (steps, runs) arrays
     for a batch, ``t`` a list in both. Returns ``(n, settled)``: the step
     count and, per run, the steady readout (mean δV) and θ mean and rms over
-    the final third. With no runs it returns ``(n, [])`` after the checks and
-    the pre-check, without stepping.
+    the final third.
     """
     instrument, pid, run = scenario.instrument, scenario.pid, scenario.run
     dt = run.dt
-    alpha = torsion_constant(instrument.fiber)
-    plant = PlantParams(instrument.balance, alpha, scenario.forces.temperature, run.thermal_noise)
+    balance, alpha = instrument.balance, torsion_constant(instrument.fiber)
+    gamma = _damping_coefficient(balance, alpha)  # refuses an overdamped balance first
     n = _step_count(run.duration, dt)
-    check_step(plant, dt)
+    period = 2.0 * math.pi / natural_frequency(balance, alpha)
+    check_step(period, dt)
     sens, quant = instrument.detector.sensitivity, instrument.detector.quantization
     if quant > 0.0 and not sens * 1e6 / quant < math.inf:  # readings use |theta| <= 1 rad only
         raise DomainError(
@@ -193,9 +194,7 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
             f"{quant:.6g} mV gives readings beyond the float range in quantization steps"
         )
     if check_stability:
-        _stability_precheck(scenario, plant)
-    if not runs:
-        return n, []
+        _stability_precheck(scenario, alpha, period)
     k_ctrl = max(1, int(round(pid.sample_interval / dt)))  # plant steps per controller sample
     batch = len(runs)
     rnd, clamp, peak, square = _FLOAT_OPS if batch == 1 else _ARRAY_OPS
@@ -205,7 +204,8 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
 
     jitter = run.pzt_jitter and runs[0].gap is not None
     pzt_sigma = instrument.actuator.pzt_accuracy if jitter else 0.0
-    kick_sigma = plant.thermal_sigma(dt)
+    T = scenario.forces.temperature
+    kick_sigma = math.sqrt(2.0 * CONSTANTS.k_b * T * gamma / dt) if run.thermal_noise else 0.0
     draws = (pzt_sigma > 0.0) + (kick_sigma > 0.0)
     rngs = [np.random.default_rng(r.seed) for r in runs] if draws else []
 
@@ -222,10 +222,9 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
     held = load(command) if pzt_sigma == 0.0 else None  # the gap is the command at every step
 
     kp, ki, kd, dt_ctrl = pid.kp, pid.ki, pid.kd, k_ctrl * dt
-    feedback = _feedback_law(instrument.actuator, instrument.balance, scenario.actuator_mode,
-                             square)
-    r_arm = instrument.balance.casimir_arm
-    axx, axv, avx, avv = _propagator(alpha, plant.balance.moment_of_inertia, plant.gamma, dt)
+    feedback = _feedback_law(instrument.actuator, balance, scenario.actuator_mode, square)
+    r_arm = balance.casimir_arm
+    axx, axv, avx, avv = _propagator(alpha, balance.moment_of_inertia, gamma, dt)
     settle_end, late = n // 3, min(1.0, DIVERGENCE_FACTOR * run.delta_theta_min)
     start = n - n // 3
     settled = np.empty((2, batch, n // 3))  # δV and θ over the final third
@@ -293,34 +292,35 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
                 float(np.sqrt(np.mean(np.square(th, out=th))))) for dv, th in zip(*settled)]
 
 
-def _stability_precheck(scenario, plant: PlantParams) -> None:
-    """Short noiseless step-response run of the scenario's loop on ``plant``; raises if it diverges.
+def _stability_precheck(scenario, alpha: float, period: float) -> None:
+    """Short noiseless step-response run of the scenario's loop; raises if it diverges.
 
     A 100 pN step is applied for six natural periods, with the controller
     sampling at ``pid.sample_interval`` as in the run. The angle envelope
     over the last two periods must fall below the envelope over the first
-    two, and must end up below the open-loop static deflection tau/alpha:
+    two, and must end up below the open-loop static deflection tau/alpha,
+    for the fiber's stiffness ``alpha`` and the pendulum's ``period``:
     a bounded limit cycle (e.g. sign-flipped gains pinned by detector
     quantization and output saturation) is just as unusable as outright
     divergence.
     """
     run, pid, dt = scenario.run, scenario.pid, scenario.run.dt
-    n = int(round(6.0 * plant.period / dt))
+    n = int(round(6.0 * period / dt))
     if n > MAX_STEPS:
         raise DomainError(
-            f"stability pre-check of six natural periods ({plant.period:.3g} s each) at "
+            f"stability pre-check of six natural periods ({period:.3g} s each) at "
             f"run.dt = {dt:.3g} s needs {n:.3g} steps, over the cap of {MAX_STEPS}; "
             f"check fiber.diameter and balance.moment_of_inertia, which set the period, "
             f"or raise run.dt"
         )
-    per = max(1, int(round(2.0 * plant.period / dt)))
+    per = max(1, int(round(2.0 * period / dt)))
     peaks = [0.0, 0.0]  # max |theta| over the first and over the last `per` steps
 
     def record(k0, t, reading, delta_v, theta, *_):
         peaks[0] = np.max(np.abs(theta[:max(per - k0, 0)]), initial=peaks[0])
         peaks[1] = np.max(np.abs(theta[max(n - per - k0, 0):]), initial=peaks[1])
 
-    open_loop = 100e-12 * scenario.instrument.balance.casimir_arm / plant.stiffness
+    open_loop = 100e-12 * scenario.instrument.balance.casimir_arm / alpha
     step_test = replace(scenario, run=replace(run, duration=n * dt, thermal_noise=False,
                                               pzt_jitter=False, delta_theta_min=math.inf))
     try:

@@ -1,9 +1,9 @@
 """Analytic noise and sensitivity budget.
 
-Answers, for a given configuration: what angular noise floors apply,
-what force they translate to at the Casimir arm, how positioning jitter
-limits each force model, and out to what distance the thermal Casimir
-component stays resolvable.
+Answers, for a given Scenario: what angular noise floors apply, what
+force they translate to at the Casimir arm, how positioning jitter limits
+each force model, and out to what distance the thermal Casimir component
+stays resolvable. The whole budget is plain ``math``: no numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .forces import (
     ForceModelParams,
     casimir_force_ideal,
@@ -21,7 +21,6 @@ from .forces import (
     patch_force,
     torsion_constant,
 )
-from .instrument import InstrumentSpec
 
 __all__ = [
     "SensitivityReport",
@@ -130,30 +129,14 @@ class SensitivityReport:
     inputs: dict                      # echo of the driving parameters
 
 
-def build_report(
-    instrument: InstrumentSpec,
-    forces: ForceModelParams,
-    delta_theta_min: float = 0.1e-6,  # rad, detector-limited
-    reference_distance: float = 1e-6,
-) -> SensitivityReport:
-    """Assemble the full budget for an instrument + force configuration.
+def build_report(scenario) -> SensitivityReport:
+    """Assemble the full budget of a scenario's instrument and force model.
 
-    Raises ConfigError listing any missing pieces of the configuration.
+    The detector-limited angle is ``run.delta_theta_min`` and the jitter
+    floors are evaluated at ``budget.reference_distance``.
     """
-    missing = [
-        name
-        for name, value in (
-            ("instrument", instrument),
-            ("forces", forces),
-            ("delta_theta_min", delta_theta_min),
-            ("reference_distance", reference_distance),
-        )
-        if value is None
-    ]
-    if missing:
-        raise ConfigError(f"sensitivity report is missing: {', '.join(missing)}")
-    _require_positive(delta_theta_min=delta_theta_min, reference_distance=reference_distance)
-
+    instrument, forces = scenario.instrument, scenario.forces
+    delta_theta_min, reference_distance = scenario.run.delta_theta_min, scenario.reference_distance
     alpha = torsion_constant(instrument.fiber)
     T = forces.temperature
     balance = instrument.balance

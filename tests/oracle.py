@@ -20,8 +20,8 @@ import numpy as np
 
 from torsionlab.constants import CONSTANTS
 from torsionlab.control import _closed_loop, _feedback_law, _scenario_run
-from torsionlab.dynamics import (PlantParams, _damping_coefficient, _propagator,
-                                 _round_half_away, check_step)
+from torsionlab.dynamics import (_damping_coefficient, _propagator, _round_half_away,
+                                 check_step, natural_frequency)
 from torsionlab.errors import DomainError
 from torsionlab.forces import ForceModelParams, total_force
 from torsionlab.instrument import ActuatorSpec, BalanceSpec, DetectorSpec, GapState, PidConfig
@@ -74,23 +74,23 @@ class TraceRow(NamedTuple):
     forces: dict
 
 
-def step(state: SimState, plant: PlantParams, external_torque: float, dt: float) -> SimState:
-    """Advance the pendulum by one fixed step of length dt (in place).
+def step(state: SimState, balance: BalanceSpec, alpha: float, external_torque: float,
+         dt: float, *, temperature: float = 300.0, thermal_noise: bool = False) -> SimState:
+    """Advance the pendulum, ``balance`` on a fiber of stiffness ``alpha``, by
+    one fixed step of length dt (in place).
 
-    The torque (external plus, if enabled, a fresh thermal sample from
-    the state rng) is held constant over the step and the linear system
-    is propagated exactly.
+    The torque (external plus, if ``thermal_noise``, a fresh thermal sample
+    at ``temperature`` from the state rng) is held constant over the step
+    and the linear system is propagated exactly.
     """
-    check_step(plant, dt)
+    check_step(2.0 * math.pi / natural_frequency(balance, alpha), dt)
     tau = external_torque
-    if plant.thermal_noise:
-        tau += thermal_torque_sample(
-            plant.balance, plant.stiffness, plant.temperature, dt, state.rng
-        )
+    if thermal_noise:
+        tau += thermal_torque_sample(balance, alpha, temperature, dt, state.rng)
     axx, axv, avx, avv = _propagator(
-        plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt
+        alpha, balance.moment_of_inertia, _damping_coefficient(balance, alpha), dt
     )
-    x_eq = tau / plant.stiffness
+    x_eq = tau / alpha
     x = state.theta - x_eq
     state.theta = x_eq + axx * x + axv * state.omega
     state.omega = avx * x + avv * state.omega

@@ -5,7 +5,6 @@ pass/fail line each. Run with ``pytest tests/test_acceptance.py -v -s``.
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from torsionlab import (
     ForceModelParams,
     InstrumentSpec,
     PidConfig,
-    PlantParams,
     RunSchedule,
     Scenario,
     SphereSpec,
@@ -30,6 +28,7 @@ from torsionlab import (
     jitter_force_floor,
     max_thermal_casimir_distance,
     michelson_calibrate,
+    natural_frequency,
     patch_force,
     run_electrostatic_calibration,
     run_null_measurement,
@@ -120,19 +119,14 @@ def test_criterion_06_closed_loop_null_and_linearity():
 
 def test_criterion_07_equipartition():
     with criterion(7, "Langevin at T=300 K, Q=10, 1e6 steps: <theta^2> within 5% of k_b T / alpha"):
-        plant = PlantParams(
-            balance=BalanceSpec(quality_factor=10.0),
-            stiffness=ALPHA_DEFAULT,
-            temperature=300.0,
-            thermal_noise=True,
-        )
-        dt = plant.period / 100.0
+        balance = BalanceSpec(quality_factor=10.0)
+        dt = 2.0 * math.pi / natural_frequency(balance, ALPHA_DEFAULT) / 100.0
         # the open loop: zero gains, so the kernel steps the free pendulum
         # on the default fiber, whose torsion constant is ALPHA_DEFAULT
         theta = run_null_measurement(
-            Scenario(instrument=InstrumentSpec(balance=plant.balance),
+            Scenario(instrument=InstrumentSpec(balance=balance),
                      pid=PidConfig(kp=0.0, ki=0.0, kd=0.0),
-                     forces=replace(NO_FORCES, temperature=plant.temperature), seed=1,
+                     forces=NO_FORCES, seed=1,  # at 300 K
                      run=RunSchedule(dt=dt, duration=1_000_000 * dt, thermal_noise=True)),
             check_stability=False,
         ).theta

@@ -335,6 +335,15 @@ class TestBudget:
         assert report["d_max_thermal_m"] >= 5e-6
         assert (out / "budget.txt").read_text().strip()
 
+    def test_overdamped_balance_budget(self, tmp_path):
+        # simulate refuses Q <= 0.5; the budget steps nothing and needs no propagator
+        cfg = _cfg(tmp_path, "balance.quality_factor = 0.5\n")
+        out, default = tmp_path / "out", tmp_path / "default"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["budget", "--out", str(default)]) == EXIT_OK
+        # Q enters no figure of the budget
+        assert (out / "budget.json").read_bytes() == (default / "budget.json").read_bytes()
+
     def test_cooled_plate_budget(self, tmp_path):
         cfg = _cfg(tmp_path, "forces.temperature = 200 K\n")
         out = tmp_path / "out"
@@ -519,9 +528,12 @@ class TestSweepPointScenario:
             with mock.patch.object(control, "_closed_loop", wraps=control._closed_loop) as loop:
                 assert main(["sweep", "--axis", axis, "--config", str(cfg),
                              "--out", str(tmp_path / axis), "--workers", "2"]) == EXIT_OK
-            checks, step_test, *points = loop.call_args_list
-            assert checks.args == (load_scenario(cfg), [])  # the settings, before any point
-            assert step_test.args[1] == [control._Run(applied_force=100e-12)]  # its pre-check
+            # the first point runs the pre-check, which reads neither the value nor the seed
+            first, step_test, *rest = loop.call_args_list
+            assert step_test.args[1] == [control._Run(applied_force=100e-12)]
+            assert step_test.kwargs["check_stability"] is False
+            points = [first, *rest]
+            assert [c.kwargs["check_stability"] for c in points] == [True] + [False] * len(rest)
             self._check(cfg, axis, [c.args[0] for c in points])
 
     def test_serial_point_runs_the_loaded_scenario(self, tmp_path):
@@ -597,6 +609,7 @@ class TestSweepChecksSettingsAsSimulate:
         "unstable_gains": "control.kp = -0.5 V/mV\n",
         "slow_controller": "control.sample_interval = 1 s\n",
         "precheck_over_the_cap": "fiber.diameter = 1e-30 m\n",
+        "overdamped_balance": "balance.quality_factor = 0.5\n",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -671,6 +684,10 @@ class TestBadInputExitCode:
         "quantization_too_fine_for_sensitivity": (
             [], "detector.sensitivity = 1e10 mV/urad\ndetector.quantization = 1e-300 mV\n",
             "detector.quantization"),
+        # Q <= 0.5 has no underdamped propagator; a step over period/50 does not
+        # resolve the pendulum, whose period the fiber and the inertia set
+        "overdamped_balance": ([], "balance.quality_factor = 0.5\n", "balance.quality_factor"),
+        "coarse_dt": ([], "run.dt = 5 s\n", "run.dt"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

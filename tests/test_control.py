@@ -1,5 +1,6 @@
 """Closed-loop null-measurement tests."""
 
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -18,11 +19,11 @@ from torsionlab import (
     GapState,
     InstrumentSpec,
     PidConfig,
-    PlantParams,
     RunSchedule,
     Scenario,
     SphereSpec,
     VoltageState,
+    natural_frequency,
     run_null_measurement,
     torsion_constant,
 )
@@ -242,7 +243,7 @@ class TestStepCap:
 
     # acceptance criterion 7's plant, at 100 steps per period
     BALANCE = BalanceSpec(quality_factor=10.0)
-    DT = PlantParams(balance=BALANCE, stiffness=torsion_constant(FiberSpec())).period / 100
+    DT = 2.0 * math.pi / natural_frequency(BALANCE, torsion_constant(FiberSpec())) / 100
 
     def _steps(self, duration):
         return _step_count(duration, self.DT)

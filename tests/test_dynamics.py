@@ -1,6 +1,7 @@
 """Plant-model tests: integrator accuracy, noise statistics, detector."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from torsionlab import (
     GapState,
     InstrumentSpec,
     PidConfig,
-    PlantParams,
     RunSchedule,
     Scenario,
     natural_frequency,
@@ -23,7 +23,7 @@ from torsionlab import (
 )
 from torsionlab.constants import CONSTANTS
 from torsionlab.control import _closed_loop, _Run
-from torsionlab.dynamics import _propagator
+from torsionlab.dynamics import _damping_coefficient, _propagator
 from torsionlab.errors import DomainError
 
 ALPHA_REF = 2.96e-6
@@ -43,19 +43,23 @@ def _open_scenario(instrument, duration, dt, *, temperature=300.0, seed=0, **run
                     run=RunSchedule(dt=dt, duration=duration, delta_theta_min=1.0, **run))
 
 
-def _open_loop(plant, dt, n, *, torque=0.0, seed=0):
+def _period(balance):
+    """Free period 2 pi / omega0 of ``balance`` on the FIBER_REF fiber."""
+    return 2.0 * math.pi / natural_frequency(balance, ALPHA_REF)
+
+
+def _open_loop(balance, dt, n, *, torque=0.0, temperature=300.0, thermal_noise=False, seed=0):
     """Angle after each of n steps of the free pendulum, from rest, under a held torque.
 
-    A zero-gain loop never acts, so the kernel steps the open-loop plant on
-    the FIBER_REF fiber (stiffness ALPHA_REF); the torque enters as the force
-    torque / casimir_arm on the Casimir arm.
+    A zero-gain loop never acts, so the kernel steps the open-loop plant:
+    ``balance`` on the FIBER_REF fiber (stiffness ALPHA_REF). The torque
+    enters as the force torque / casimir_arm on the Casimir arm.
     """
-    assert plant.stiffness == ALPHA_REF
-    instrument = InstrumentSpec(fiber=FIBER_REF, balance=plant.balance)
+    instrument = InstrumentSpec(fiber=FIBER_REF, balance=balance)
     result = run_null_measurement(_open_scenario(
-        instrument, n * dt, dt, temperature=plant.temperature, seed=seed,
-        applied_force=torque / instrument.balance.casimir_arm,
-        thermal_noise=plant.thermal_noise), check_stability=False)
+        instrument, n * dt, dt, temperature=temperature, seed=seed,
+        applied_force=torque / balance.casimir_arm,
+        thermal_noise=thermal_noise), check_stability=False)
     assert len(result.theta) == n
     return result.theta
 
@@ -77,52 +81,41 @@ class TestNaturalFrequency:
 
 
 class TestThermalTorque:
-    """The plant's per-step thermal torque: sigma from thermal_sigma, draws from the kernel."""
+    """The plant's per-step thermal torque, as the kernel draws it."""
 
     @staticmethod
-    def _first_step_torques(plant, dt, seeds):
+    def _first_step_torques(balance, dt, seeds):
         # One step from rest under a held torque tau ends at tau / alpha * (1 - axx),
         # so each seed's first angle gives that run's first thermal torque sample.
         # One zero-gain batch steps every seed's run on its own stream, for 10
         # steps: the fewest a run may take.
-        axx = _propagator(plant.stiffness, plant.balance.moment_of_inertia, plant.gamma, dt)[0]
+        gamma = _damping_coefficient(balance, ALPHA_REF)
+        axx = _propagator(ALPHA_REF, balance.moment_of_inertia, gamma, dt)[0]
         theta = np.empty(len(seeds))
 
         def record(k0, t, reading, delta_v, th, *_):
             theta[:] = th[0]
 
-        instrument = InstrumentSpec(fiber=FIBER_REF, balance=plant.balance)
-        _closed_loop(_open_scenario(instrument, 10 * dt, dt, temperature=plant.temperature,
-                                    thermal_noise=plant.thermal_noise),
+        instrument = InstrumentSpec(fiber=FIBER_REF, balance=balance)
+        _closed_loop(_open_scenario(instrument, 10 * dt, dt, thermal_noise=True),
                      [_Run(seed=s) for s in seeds], check_stability=False, record=record)
-        return theta * plant.stiffness / (1.0 - axx)
-
-    def test_zero_temperature_is_silent(self):
-        plant = PlantParams(balance=_balance(), stiffness=ALPHA_REF, temperature=0.0,
-                            thermal_noise=True)
-        assert plant.thermal_sigma(0.1) == 0.0
+        return theta * ALPHA_REF / (1.0 - axx)
 
     def test_sample_variance_matches_fdt(self):
-        plant = PlantParams(balance=_balance(Q=10.0), stiffness=ALPHA_REF, temperature=300.0,
-                            thermal_noise=True)
-        dt = 0.5
-        gamma = INERTIA * natural_frequency(plant.balance, ALPHA_REF) / 10.0
+        balance, dt = _balance(Q=10.0), 0.5
+        gamma = INERTIA * natural_frequency(balance, ALPHA_REF) / 10.0
         expected = 2.0 * CONSTANTS.k_b * 300.0 * gamma / dt
-        assert plant.thermal_sigma(dt) ** 2 == pytest.approx(expected, rel=1e-12)
-        samples = self._first_step_torques(plant, dt, range(40000))
+        samples = self._first_step_torques(balance, dt, range(40000))
+        # each sample is sigma times its seed's first normal
+        normals = [np.random.default_rng(s).standard_normal() for s in range(100)]
+        assert samples[:100] / normals == pytest.approx(math.sqrt(expected), rel=1e-9)
         assert samples.mean() == pytest.approx(0.0, abs=4 * math.sqrt(expected / len(samples)))
         assert samples.var() == pytest.approx(expected, rel=0.03)
 
     def test_doubling_temperature_doubles_variance(self):
-        def plant(T):
-            return PlantParams(balance=_balance(Q=10.0), stiffness=ALPHA_REF, temperature=T,
-                               thermal_noise=True)
-
-        assert plant(600.0).thermal_sigma(0.5) ** 2 == pytest.approx(
-            2.0 * plant(300.0).thermal_sigma(0.5) ** 2, rel=1e-12)
         # identical generator stream: the linear response scales by sqrt(2) exactly
-        a = _open_loop(plant(300.0), 0.5, 100, seed=7)
-        b = _open_loop(plant(600.0), 0.5, 100, seed=7)
+        a = _open_loop(_balance(Q=10.0), 0.5, 100, temperature=300.0, thermal_noise=True, seed=7)
+        b = _open_loop(_balance(Q=10.0), 0.5, 100, temperature=600.0, thermal_noise=True, seed=7)
         assert np.var(b) == pytest.approx(2.0 * np.var(a), rel=1e-12)
 
 
@@ -133,15 +126,15 @@ class TestStep:
         # step response from rest under a held torque: the offset from the
         # new equilibrium theta_eq rings down on the damped envelope
         Q = 10.0
-        plant = PlantParams(balance=_balance(Q=Q), stiffness=ALPHA_REF, thermal_noise=False)
-        w0 = plant.omega0
+        balance = _balance(Q=Q)
+        w0 = natural_frequency(balance, ALPHA_REF)
         lam = w0 / (2 * Q)
         w_d = math.sqrt(w0**2 - lam**2)
-        dt = plant.period / 200
+        dt = _period(balance) / 200
         tau = 1e-5 * ALPHA_REF
         theta_eq = tau / ALPHA_REF
-        n = int(round(10 * plant.period / dt))
-        theta = _open_loop(plant, dt, n, torque=tau)
+        n = int(round(10 * _period(balance) / dt))
+        theta = _open_loop(balance, dt, n, torque=tau)
         t = dt * np.arange(1, n + 1)
         analytic = theta_eq * (
             1.0 - np.exp(-lam * t) * (np.cos(w_d * t) + lam / w_d * np.sin(w_d * t)))
@@ -150,18 +143,17 @@ class TestStep:
         assert worst / theta_eq < 1e-9
 
     def test_constant_torque_settles_to_static_equilibrium(self):
-        plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
-        dt = plant.period / 100
+        balance = _balance(Q=1.0)
+        dt = _period(balance) / 100
         tau = 1e-10
-        theta = _open_loop(plant, dt, int(round(600.0 / dt)), torque=tau)[-1]
+        theta = _open_loop(balance, dt, int(round(600.0 / dt)), torque=tau)[-1]
         assert theta == pytest.approx(tau / ALPHA_REF, rel=1e-4)
         assert theta == pytest.approx(tau / ALPHA_REF, rel=1e-10)
 
     def test_nano_newton_force_maps_to_reference_angle_and_reading(self):
         # 1 nN at a 0.1 m arm: 33.8 urad, read as 16.9 mV at 0.5 mV/urad
         balance = _balance(Q=1.0)
-        plant = PlantParams(balance=balance, stiffness=ALPHA_REF)
-        dt = plant.period / 100
+        dt = _period(balance) / 100
         # the pendulum in the loop with zero gains: the detector column reads it
         instrument = InstrumentSpec(fiber=FIBER_REF, balance=balance,
                                     detector=DetectorSpec(sensitivity=0.5, quantization=0.0))
@@ -172,29 +164,26 @@ class TestStep:
 
     def test_rejects_oversized_step(self):
         # 10 steps, the fewest a run takes, so the step check is what fires
-        plant = PlantParams(balance=_balance(), stiffness=ALPHA_REF)
+        balance = _balance()
         with pytest.raises(DomainError, match="reduce the step"):
-            _open_loop(plant, plant.period / 10, 10)
+            _open_loop(balance, _period(balance) / 10, 10)
 
     def test_energy_conservation_without_damping(self):
         # needs the angular rate, which only the scalar reference stepper exposes
-        plant = PlantParams(
-            balance=_balance(Q=math.inf), stiffness=ALPHA_REF, thermal_noise=False
-        )
-        dt = plant.period / 50
-        inertia = plant.balance.moment_of_inertia
+        balance = _balance(Q=math.inf)
+        dt = _period(balance) / 50
         state = SimState.seeded(0, theta=1e-5)
         e0 = 0.5 * ALPHA_REF * state.theta**2
         for _ in range(100_000):
-            step(state, plant, 0.0, dt)
-        e1 = 0.5 * ALPHA_REF * state.theta**2 + 0.5 * inertia * state.omega**2
+            step(state, balance, ALPHA_REF, 0.0, dt)
+        e1 = 0.5 * ALPHA_REF * state.theta**2 + 0.5 * INERTIA * state.omega**2
         assert abs(e1 - e0) / e0 < 1e-6
 
     def test_static_response_linear_over_six_decades(self):
-        plant = PlantParams(balance=_balance(Q=1.0), stiffness=ALPHA_REF)
-        dt = plant.period / 100
+        balance = _balance(Q=1.0)
+        dt = _period(balance) / 100
         n = int(round(900.0 / dt))
-        ratios = [_open_loop(plant, dt, n, torque=tau)[-1] / tau
+        ratios = [_open_loop(balance, dt, n, torque=tau)[-1] / tau
                   for tau in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9)]
         ref = 1.0 / ALPHA_REF
         for r in ratios:
@@ -208,34 +197,27 @@ class TestLangevin:
         # Q = 1000: the mode correlation time is ~2Q/w0, so a 1e6-step
         # record holds only tens of independent samples; the seed is
         # fixed to make this statistically honest draw reproducible.
-        plant = PlantParams(
-            balance=_balance(Q=1000.0), stiffness=ALPHA_REF,
-            temperature=300.0, thermal_noise=True,
-        )
-        dt = plant.period / 100
-        theta = _open_loop(plant, dt, 1_000_000, seed=7)
+        balance = _balance(Q=1000.0)
+        theta = _open_loop(balance, _period(balance) / 100, 1_000_000, temperature=300.0,
+                           thermal_noise=True, seed=7)
         target = CONSTANTS.k_b * 300.0 / ALPHA_REF
         assert np.mean(theta[len(theta) // 10:] ** 2) == pytest.approx(target, rel=0.05)
 
     def test_trajectories_are_bit_identical_for_same_seed(self):
-        plant = PlantParams(
-            balance=_balance(Q=10.0), stiffness=ALPHA_REF,
-            temperature=300.0, thermal_noise=True,
-        )
-        dt = plant.period / 60
-        a = _open_loop(plant, dt, 20000, seed=42)
-        b = _open_loop(plant, dt, 20000, seed=42)
+        balance = _balance(Q=10.0)
+        dt = _period(balance) / 60
+        a = _open_loop(balance, dt, 20000, temperature=300.0, thermal_noise=True, seed=42)
+        b = _open_loop(balance, dt, 20000, temperature=300.0, thermal_noise=True, seed=42)
         assert np.array_equal(a, b)
 
     def test_zero_noise_from_zero_temperature_rest(self):
         # a scenario's temperature is positive; at the least one, as at 0 K, the
-        # kick's sigma is exactly zero, so the run draws nothing
-        plant = PlantParams(
-            balance=_balance(Q=10.0), stiffness=ALPHA_REF,
-            temperature=5e-324, thermal_noise=True,
-        )
-        assert plant.thermal_sigma(plant.period / 60) == 0.0
-        theta = _open_loop(plant, plant.period / 60, 1000, seed=0)
+        # kick's sigma is exactly zero, so the run builds no generator and draws nothing
+        balance = _balance(Q=10.0)
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            theta = _open_loop(balance, _period(balance) / 60, 1000, temperature=5e-324,
+                               thermal_noise=True)
+        assert not rng.called
         assert np.all(theta == 0.0)
 
 

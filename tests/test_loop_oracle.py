@@ -23,7 +23,6 @@ from torsionlab import (
     GapState,
     InstrumentSpec,
     PidConfig,
-    PlantParams,
     SphereSpec,
     VoltageState,
     run_null_measurement,
@@ -54,8 +53,7 @@ def scalar_loop(instrument, pid, duration, dt, *, forces=None, gap=None, applied
     ``steps`` collects each finished step index, so a caller can see
     where an InstabilityError was raised.
     """
-    plant = PlantParams(balance=instrument.balance, stiffness=torsion_constant(instrument.fiber),
-                        temperature=temperature, thermal_noise=thermal_noise)
+    balance, alpha = instrument.balance, torsion_constant(instrument.fiber)
     n = int(round(duration / dt))
     k_ctrl = max(1, int(round(pid.sample_interval / dt)))
     dt_ctrl = k_ctrl * dt
@@ -82,7 +80,7 @@ def scalar_loop(instrument, pid, duration, dt, *, forces=None, gap=None, applied
         tau = f_ext * r_arm - feedback_torque(
             delta_v, instrument.actuator, instrument.balance, actuator_mode
         )
-        step(state, plant, tau, dt)
+        step(state, balance, alpha, tau, dt, temperature=temperature, thermal_noise=thermal_noise)
         cols[:, k] = (state.t, reading, delta_v, state.theta, f_ext)
         if steps is not None:
             steps.append(k)

@@ -111,8 +111,8 @@ class TestUnits:
         a0 = torsion_constant(base.instrument.fiber)
         a1 = torsion_constant(thick.instrument.fiber)
         assert a1 == pytest.approx(16.0 * a0, rel=1e-12)
-        r0 = build_report(base.instrument, base.forces)
-        r1 = build_report(thick.instrument, thick.forces)
+        r0 = build_report(base)
+        r1 = build_report(thick)
         assert r1.force_resolution == pytest.approx(16.0 * r0.force_resolution, rel=1e-12)
 
     def test_bare_number_rejected_for_dimensioned_key(self):

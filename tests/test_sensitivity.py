@@ -7,7 +7,8 @@ import pytest
 
 from torsionlab import (
     ForceModelParams,
-    InstrumentSpec,
+    RunSchedule,
+    Scenario,
     SphereSpec,
     VoltageState,
     build_report,
@@ -21,7 +22,7 @@ from torsionlab import (
     swing_angle_noise,
     thermal_angle_noise,
 )
-from torsionlab.errors import ConfigError, DomainError
+from torsionlab.errors import DomainError
 
 ALPHA = 2.96e-6
 
@@ -155,30 +156,41 @@ class TestThermalReach:
 
 class TestBuildReport:
     def test_default_report_orders_noise_floors(self):
-        report = build_report(InstrumentSpec(), ForceModelParams())
+        report = build_report(Scenario())
         assert report.delta_theta_swing < report.delta_theta_thermal < report.delta_theta_min
         assert report.thermal_below_detector
         assert report.swing_negligible
 
     def test_report_is_pure(self):
-        a = build_report(InstrumentSpec(), ForceModelParams())
-        b = build_report(InstrumentSpec(), ForceModelParams())
+        a = build_report(Scenario())
+        b = build_report(Scenario())
         assert a == b
 
     def test_thermal_reach_omitted_without_thermal_model(self):
         params = ForceModelParams(components=frozenset({"electrostatic", "patch"}))
-        report = build_report(InstrumentSpec(), params)
+        report = build_report(Scenario(forces=params))
         assert report.d_max_thermal is None
         assert set(report.jitter_force_floor) == {"electrostatic", "patch"}
 
-    def test_missing_inputs_are_named(self):
-        with pytest.raises(ConfigError, match="forces"):
-            build_report(InstrumentSpec(), None)
+    def test_reads_the_detector_floor_and_reference_distance(self):
+        # run.delta_theta_min sets the force resolution; budget.reference_distance
+        # sets where the jitter floors are evaluated, and nothing else
+        base = build_report(Scenario())
+        finer = build_report(Scenario(run=RunSchedule(delta_theta_min=0.2e-6)))
+        assert finer.delta_theta_min == 0.2e-6
+        assert finer.force_resolution == 2.0 * base.force_resolution
+        assert finer.jitter_force_floor == base.jitter_force_floor
+        far = build_report(Scenario(reference_distance=2e-6))
+        assert far.reference_distance == 2e-6
+        assert far.force_resolution == base.force_resolution
+        # the thermal Casimir force goes as 1/d, so its floor 2 F/d * jitter as 1/d^2
+        assert far.jitter_force_floor["casimir_thermal"] == pytest.approx(
+            base.jitter_force_floor["casimir_thermal"] / 4.0, rel=1e-12)
 
     def test_temperature_rescaling(self):
         # sqrt for angle noises, linear for the thermal force floor
-        r300 = build_report(InstrumentSpec(), ForceModelParams(temperature=300.0))
-        r200 = build_report(InstrumentSpec(), ForceModelParams(temperature=200.0))
+        r300 = build_report(Scenario(forces=ForceModelParams(temperature=300.0)))
+        r200 = build_report(Scenario(forces=ForceModelParams(temperature=200.0)))
         scale = math.sqrt(200.0 / 300.0)
         assert r200.delta_theta_thermal == pytest.approx(
             r300.delta_theta_thermal * scale, rel=1e-12
@@ -198,5 +210,5 @@ class TestBuildReport:
         reaches = []
         for r in radii:
             params = ForceModelParams(sphere=SphereSpec(r))
-            reaches.append(build_report(InstrumentSpec(), params).d_max_thermal)
+            reaches.append(build_report(Scenario(forces=params)).d_max_thermal)
         assert all(a < b for a, b in zip(reaches, reaches[1:]))

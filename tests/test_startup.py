@@ -211,14 +211,15 @@ def test_nonnegative_decomposition_in_a_fresh_interpreter(tmp_path):
 # The package's exports: the 68 names of the eager-import package, less the
 # scalar per-step API that moved to tests/oracle.py (PidState, SimState,
 # TraceRow, detector_read, feedback_torque, pid_step, pzt_actual_position, step,
-# thermal_torque_sample) and run_langevin, whose open loop is a zero-gain
-# run_null_measurement.
+# thermal_torque_sample), run_langevin, whose open loop is a zero-gain
+# run_null_measurement, and the plant's settings class: the kernel reads the
+# plant from the Scenario.
 EXPORTS = {
     "ActuatorSpec", "BalanceSpec", "CONSTANTS", "CalibrationResult", "ConfigError",
     "DetectorSpec", "DomainError", "FiberSpec", "ForceBreakdown", "ForceModelParams", "GapState",
     "InstabilityError", "InstrumentSpec", "MichelsonCalibration", "MichelsonTrace",
     "NullMeasurementResult", "NumericalError", "ParabolaFit", "PhysicalConstants", "PidConfig",
-    "PlantParams", "ResidualDecomposition", "RunSchedule", "SPHERE_PRESETS",
+    "ResidualDecomposition", "RunSchedule", "SPHERE_PRESETS",
     "Scenario", "SchemaError", "SensitivityReport", "SphereSpec", "TorsionLabError",
     "VoltageState", "VoltageSweep", "build_report", "calibrate_sweeps",
     "casimir_force_ideal", "casimir_force_thermal", "constants_table", "contact_point_fit",
