@@ -6,9 +6,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error,
 
 Only the commands that step or fit import numpy, ``control`` and
 ``calibration``, so ``budget`` starts without them. The manifest digests
-come from the interpreter's own SHA-256, with hashlib's values, so OpenSSL
-comes in only with ``numpy.random`` (a run that draws, or scipy in
-``michelson``).
+come from the interpreter's own SHA-256, with hashlib's values, and
+``main()`` blocks ``_hashlib`` before ``numpy.random`` can load it, so no
+command maps OpenSSL: a run that draws, or ``michelson``, gets
+``hashlib`` and ``hmac`` with the builtin hashes.
 """
 
 from __future__ import annotations
@@ -359,6 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # an idle OpenBLAS pool thread spins ~0.1 s after numpy loads; no BLAS call here needs one
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # numpy.random -> secrets -> hmac maps OpenSSL's libcrypto, which a seeded run never
+    # uses and the digests do not need (they are the builtin SHA-256), so hashlib and hmac
+    # fall back to the builtin hashes. setdefault leaves an _hashlib that is already loaded:
+    # an embedding process's, or the one manifest imported on a build without builtin SHA-2.
+    sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

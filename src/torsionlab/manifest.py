@@ -16,7 +16,8 @@ MANIFEST_NAME = "run_manifest.json"
 
 
 # The interpreter's own SHA-256, with hashlib's digests: importing hashlib
-# loads OpenSSL's libcrypto, which only a run that draws needs otherwise.
+# loads OpenSSL's libcrypto, which no command needs (cli.main() blocks it for
+# the hashlib and hmac that numpy.random imports).
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:

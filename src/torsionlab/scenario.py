@@ -124,9 +124,9 @@ class RunSchedule:
     delta_theta_min: float = 0.1e-6
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.duration <= 0:
+        if not self.dt > 0 or not self.duration > 0:
             raise DomainError("run.dt and run.duration must be positive")
-        if self.delta_theta_min <= 0:
+        if not self.delta_theta_min > 0:
             raise DomainError("run.delta_theta_min must be positive")
 
 
@@ -149,7 +149,7 @@ class Scenario:
                 f"control.actuator_mode must be one of {ACTUATOR_MODES}, "
                 f"got {self.actuator_mode!r}"
             )
-        if self.reference_distance <= 0:
+        if not self.reference_distance > 0:
             raise DomainError("budget.reference_distance must be positive")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")

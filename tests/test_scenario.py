@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsionlab import (
+    RunSchedule,
     Scenario,
     build_report,
     parse_scenario_text,
@@ -15,7 +16,7 @@ from torsionlab import (
     torsion_constant,
 )
 from torsionlab.cli import EXIT_CONFIG, EXIT_OK, main
-from torsionlab.errors import ConfigError
+from torsionlab.errors import ConfigError, DomainError
 from torsionlab.scenario import KEYS, UNIT_TABLES
 
 # Every stored key at a non-default value. Scaling any subset of the
@@ -177,6 +178,15 @@ class TestRejection:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             parse_scenario_text("seed = -3\n")
+
+    # The file parser refuses nan, but a library caller builds these directly.
+    @pytest.mark.parametrize("key", ["run.dt", "run.duration", "run.delta_theta_min",
+                                     "budget.reference_distance"])
+    def test_nan_setting_is_refused_by_name(self, key):
+        section, name = key.split(".")
+        cls = Scenario if section == "budget" else RunSchedule
+        with pytest.raises(DomainError, match=re.escape(key)):
+            cls(**{name: float("nan")})
 
     def test_positions_must_lie_within_pzt_range(self):
         parse_scenario_text("run.position = 15 um\nrun.positions = 0 um, 15 um\n")

@@ -9,9 +9,10 @@ loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
 on ``math`` alone. A loop that draws no normals (no thermal noise, no PZT
 jitter) loads no ``numpy.random``, and a CLI run starts no OpenBLAS pool
-thread. The digests come from the interpreter's own SHA-256, so only a
-run that draws loads OpenSSL (``_hashlib``, through ``numpy.random``);
-they equal hashlib's. Each check runs in a new interpreter,
+thread. The digests come from the interpreter's own SHA-256 and equal
+hashlib's, and the CLI blocks OpenSSL's ``_hashlib`` before a run that
+draws imports ``numpy.random`` (``secrets`` -> ``hmac`` -> ``_hashlib``),
+so no command maps libcrypto. Each check runs in a new interpreter,
 because this test process may already hold those modules.
 """
 
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import torsionlab
+from torsionlab.cli import main
 from torsionlab.scenario import Scenario, load_scenario, scenario_hash
 
 SRC = Path(torsionlab.__file__).resolve().parents[1]
@@ -145,10 +147,24 @@ def test_noisy_sweep_loads_numpy_random(tmp_path):
     assert _loads_numpy_random(code, tmp_path)
 
 
-def _openssl_modules_after(code, cwd):
-    return json.loads(_fresh(code + "import json, sys\nprint(json.dumps(sorted("
-                             "{'hashlib', '_hashlib'} & sys.modules.keys())))\n",
-                             cwd).splitlines()[-1])
+def _openssl_after(code, cwd):
+    """The hash modules ``code`` loaded, whether it loaded ``numpy.random``, and
+    whether libcrypto is mapped (None off Linux).
+
+    A module counts only when its ``sys.modules`` value is not None: a None
+    entry is what blocks the import.
+    """
+    report = (
+        "import json, sys\n"
+        "try:\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        mapped = 'libcrypto' in fh.read()\n"
+        "except OSError:\n"
+        "    mapped = None\n"
+        "print(json.dumps([sorted(m for m in ('hashlib', '_hashlib')"
+        " if sys.modules.get(m) is not None), 'numpy.random' in sys.modules, mapped]))\n"
+    )
+    return json.loads(_fresh(code + report, cwd).splitlines()[-1])
 
 
 def _assert_digests(out, scenario):
@@ -160,24 +176,39 @@ def _assert_digests(out, scenario):
         assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
 
 
-# Each case: scenario text (None: no --config), then the command and its options.
-NOISELESS = {
-    "budget": (None, ["budget"]),
-    "calibrate": (CALIB_CFG, ["calibrate"]),
-    "simulate": (FORCE_CFG, ["simulate"]),
-    "sweep": (SCAN_CFG, ["sweep", "--axis", "force"]),
+# Each case: scenario text (None: no --config), the command and its options,
+# and whether it draws normals (and so imports numpy.random).
+COMMANDS = {
+    "budget": (None, ["budget"], False),
+    "calibrate": (CALIB_CFG, ["calibrate"], False),
+    "simulate": (FORCE_CFG, ["simulate"], False),
+    "sweep": (SCAN_CFG, ["sweep", "--axis", "force"], False),
+    "noisy-simulate": (FORCE_CFG + "run.thermal_noise = true\nrun.pzt_jitter = true\n",
+                       ["simulate"], True),
+    "noisy-sweep": (SCAN_CFG + "run.thermal_noise = true\n", ["sweep", "--axis", "force"], True),
+    "michelson": (None, ["michelson", "--synthetic", "--noise", "5"], True),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NOISELESS))
-def test_noiseless_command_loads_no_openssl_and_writes_its_digests(tmp_path, case):
-    text, argv = NOISELESS[case]
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_command_loads_no_openssl_and_writes_its_digests(tmp_path, case):
+    text, argv, draws = COMMANDS[case]
     if text is not None:
         (tmp_path / "s.cfg").write_text(text)
         argv = [*argv, "--config", "s.cfg"]
-    assert _openssl_modules_after(_cli_run(*argv, "--out", "out"), tmp_path) == []
+    modules, drew, mapped = _openssl_after(_cli_run(*argv, "--out", "out"), tmp_path)
+    assert drew == draws
+    # a run that draws imports hashlib through numpy.random -> secrets -> hmac
+    assert "_hashlib" not in modules if draws else modules == []
+    assert not mapped
     scenario = Scenario() if text is None else load_scenario(tmp_path / "s.cfg")
     _assert_digests(tmp_path / "out", scenario)
+
+
+def test_main_keeps_an_openssl_that_is_already_loaded(tmp_path):
+    loaded = pytest.importorskip("_hashlib")
+    assert main(["budget", "--out", str(tmp_path / "out")]) == 0
+    assert sys.modules["_hashlib"] is loaded
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists threads from /proc")
