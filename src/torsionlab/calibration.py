@@ -271,16 +271,16 @@ def run_electrostatic_calibration(scenario) -> CalibrationResult:
     positions = [float(p) for p in run.positions]
     voltages = [float(v) for v in run.voltages]
     if len(positions) < 2:
-        raise DomainError("need at least two positions")
+        raise DomainError(f"run.positions needs at least two positions, got {len(positions)}")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise DomainError("positions must be strictly increasing toward contact")
     if "electrostatic" not in forces.components:
-        raise DomainError("electrostatic component must be enabled for calibration")
+        raise DomainError("forces.components must enable electrostatic for calibration")
     for d_r in positions:
         if contact_offset - d_r <= 0:
             raise DomainError(
-                f"position d_r = {d_r:.3g} m is at or beyond contact "
-                f"(d0 = {contact_offset:.3g} m)"
+                f"run.positions: position d_r = {d_r:.3g} m is at or beyond contact "
+                f"(run.contact_offset = {contact_offset:.3g} m)"
             )
 
     runs = [

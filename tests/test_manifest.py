@@ -5,10 +5,6 @@ import hashlib
 import pytest
 
 from torsionlab.manifest import file_sha256, sha256
-from torsionlab.scenario import Scenario, scenario_hash
-
-# TestHashPins.test_default (tests/test_scenario.py)
-DEFAULT_HASH = "053ec97f51b68cc9634919e5396fced0668ac63c2131975b4c711adc42a9978f"
 
 # file_sha256 reads 65,536-byte chunks: sizes on both sides of one chunk
 SIZES = [0, 1, 65_535, 65_536, 65_537]
@@ -25,7 +21,3 @@ def test_digests_match_hashlib(size, tmp_path):
     assert sha256(data).hexdigest() == expected
     (tmp_path / "data").write_bytes(data)
     assert file_sha256(tmp_path / "data") == expected
-
-
-def test_scenario_hash_matches_the_pin():
-    assert scenario_hash(Scenario()) == DEFAULT_HASH
