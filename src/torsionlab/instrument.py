@@ -140,7 +140,6 @@ class ActuatorSpec:
 
     pzt_accuracy: float = 0.2e-9     # m rms jitter
     pzt_range: float = 15e-6         # m
-    stage_resolution: float = 8e-9   # m, coarse stage
     fb_plate_area: float = 1e-4      # m^2
     fb_gap: float = 1e-3             # m
     fb_bias: float = 10.0            # V
@@ -148,8 +147,8 @@ class ActuatorSpec:
     def __post_init__(self) -> None:
         if self.pzt_accuracy < 0:
             raise DomainError("pzt accuracy cannot be negative")
-        if self.pzt_range <= 0 or self.stage_resolution < 0:
-            raise DomainError("pzt range must be positive, stage resolution non-negative")
+        if self.pzt_range <= 0:
+            raise DomainError("pzt range must be positive")
         if self.fb_gap <= 0 or self.fb_plate_area <= 0:
             raise DomainError("feedback plate area and gap must be positive")
 

@@ -39,6 +39,7 @@ UNIT_TABLES: dict[str, dict[str, float]] = {
     "pressure": {"Pa": 1.0, "MPa": 1e6, "GPa": 1e9},
     "temperature": {"K": 1.0},
     "voltage": {"V": 1.0, "mV": 1e-3, "uV": 1e-6},
+    "readout-voltage": {"V": 1e3, "mV": 1.0, "uV": 1e-3},
     "time": {"s": 1.0, "ms": 1e-3},
     "force": {"N": 1.0, "uN": 1e-6, "nN": 1e-9, "pN": 1e-12},
     "angle": {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6},
@@ -49,13 +50,12 @@ UNIT_TABLES: dict[str, dict[str, float]] = {
     "detector-sensitivity": {"mV/urad": 1.0},
 }
 
-# key -> (kind, attribute path on Scenario[, scale in, scale out]). Quantity
-# and list kinds name their dimension table. A file's SI value is stored times
-# the scale in; the flat form is the stored value times the scale out: the
-# detector keeps its quantization step in readout millivolts. Defaults live in
+# key -> (kind, attribute path on Scenario). Quantity and list kinds name their
+# dimension table, whose unit of factor 1 is the unit stored and flattened: SI,
+# but readout millivolts for the detector's quantization step. Defaults live in
 # the dataclasses. sphere.preset has no path: it stands for radius and material.
 _Q = "quantity:"
-KEYS: dict[str, tuple] = {
+KEYS: dict[str, tuple[str, str | None]] = {
     "seed": ("int", "seed"),
     "fiber.torsion_modulus": (_Q + "pressure", "instrument.fiber.torsion_modulus"),
     "fiber.diameter": (_Q + "length", "instrument.fiber.diameter"),
@@ -70,10 +70,9 @@ KEYS: dict[str, tuple] = {
     "sphere.radius": (_Q + "length", "forces.sphere.radius"),
     "sphere.material": ("string", "forces.sphere.material"),
     "detector.sensitivity": (_Q + "detector-sensitivity", "instrument.detector.sensitivity"),
-    "detector.quantization": (_Q + "voltage", "instrument.detector.quantization", 1e3, 1e-3),
+    "detector.quantization": (_Q + "readout-voltage", "instrument.detector.quantization"),
     "actuator.pzt_accuracy": (_Q + "length", "instrument.actuator.pzt_accuracy"),
     "actuator.pzt_range": (_Q + "length", "instrument.actuator.pzt_range"),
-    "actuator.stage_resolution": (_Q + "length", "instrument.actuator.stage_resolution"),
     "actuator.fb_plate_area": (_Q + "area", "instrument.actuator.fb_plate_area"),
     "actuator.fb_gap": (_Q + "length", "instrument.actuator.fb_gap"),
     "actuator.fb_bias": (_Q + "voltage", "instrument.actuator.fb_bias"),
@@ -165,17 +164,16 @@ class Scenario:
                 )
 
     def to_flat(self) -> dict:
-        """Flat dotted-key dict of resolved SI values: the canonical form
-        that ``scenario_hash`` digests."""
+        """Flat dotted-key dict of stored values, each in its key's unit of
+        factor 1 (see ``KEYS``): the canonical form that ``scenario_hash``
+        digests."""
         flat = {}
-        for key, (kind, path, *scale) in KEYS.items():
+        for key, (kind, path) in KEYS.items():
             if path is None:
                 continue
             value = attrgetter(path)(self)
             if kind.startswith("list:"):
                 value = sorted(value) if isinstance(value, frozenset) else list(value)
-            elif scale:
-                value = value * scale[1]
             flat[key] = value
         return flat
 
@@ -322,13 +320,11 @@ def _build_scenario(values: dict, source: str = "<config>") -> Scenario:
         values = {**values, "sphere.radius": sphere.radius, "sphere.material": sphere.material}
     arguments = {path: {} for path in _SECTIONS}
     for key, value in values.items():
-        kind, path, *scale = KEYS[key]
+        kind, path = KEYS[key]
         if path is None:
             continue
         if kind.startswith("list:"):
             value = tuple(value)
-        elif scale:
-            value = value * scale[0]
         parent, _, name = path.rpartition(".")
         arguments[parent][name] = value
     for path, (name, constructor) in _SECTIONS.items():

@@ -2,21 +2,27 @@
 
 import re
 import tempfile
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torsionlab import (
+    DetectorSpec,
     RunSchedule,
     Scenario,
     build_report,
     parse_scenario_text,
+    run_null_measurement,
     scenario_hash,
     torsion_constant,
 )
 from torsionlab.cli import EXIT_CONFIG, EXIT_OK, main
 from torsionlab.errors import ConfigError, DomainError
+from torsionlab.forces import COMPONENTS
+from torsionlab.instrument import ACTUATOR_MODES
 from torsionlab.scenario import KEYS, UNIT_TABLES
 
 # Every stored key at a non-default value. Scaling any subset of the
@@ -38,7 +44,6 @@ ALL_KEYS = {
     "detector.quantization": "0.25 mV",
     "actuator.pzt_accuracy": "0.5 nm",
     "actuator.pzt_range": "20 um",
-    "actuator.stage_resolution": "10 nm",
     "actuator.fb_plate_area": "2 cm2",
     "actuator.fb_gap": "2 mm",
     "actuator.fb_bias": "15 V",
@@ -71,7 +76,7 @@ ALL_KEYS = {
     "output.dir": "results/all",
 }
 NUMERIC = sorted(
-    key for key, (kind, *_) in KEYS.items()
+    key for key, (kind, _) in KEYS.items()
     if kind == "number" or kind.startswith("quantity:")
     or (kind.startswith("list:") and kind != "list:string")
 )
@@ -211,6 +216,16 @@ class TestPresetsAndRoundTrip:
         b = parse_scenario_text("seed = 6\n")
         assert scenario_hash(a) != scenario_hash(b)
 
+    def test_file_and_library_quantization_run_alike(self):
+        run = "run.duration = 60 s\nrun.applied_force = 100 pN\n"
+        from_file = parse_scenario_text(run + "detector.quantization = 0.009 mV\n")
+        default = parse_scenario_text(run)
+        from_library = replace(default, instrument=replace(
+            default.instrument, detector=DetectorSpec(quantization=0.009)))
+        assert from_file == from_library
+        assert (run_null_measurement(from_file).error_mv.tolist()
+                == run_null_measurement(from_library).error_mv.tolist())
+
 
 class TestHashPins:
     """scenario_hash of fixed scenarios, captured before the key table existed."""
@@ -249,7 +264,59 @@ _VALUES = st.one_of(
 )
 
 
+# A valid file value for each key: quantities are their ALL_KEYS value times
+# a factor in [0.5, 2], each list item on its own; the rest, and the patch
+# exponent, which must lie in [1, 4], come from valid sets.
+def _scaled(raw: str):
+    number, _, unit = raw.partition(" ")
+    return st.floats(0.5, 2.0).map(lambda f: f"{float(number) * f!r} {unit}".strip())
+
+
+_BOOLS = st.sampled_from(["true", "false", "yes", "off"])
+_VALID = {
+    "forces.patch_exponent": st.floats(1.0, 4.0).map(repr),
+    "sphere.material": st.sampled_from(["gold", "fused silica, Au coated", "Ge"]),
+    "forces.components": st.sets(st.sampled_from(COMPONENTS)).map(", ".join),
+    "control.actuator_mode": st.sampled_from(ACTUATOR_MODES),
+    "output.dir": st.sampled_from(["out", "results/all"]),
+}
+
+
+def _file_value(key: str):
+    kind = KEYS[key][0]
+    if key in _VALID:
+        return _VALID[key]
+    if kind == "int":
+        return st.integers(0, 2**63).map(str)
+    if kind == "bool":
+        return _BOOLS
+    if kind.startswith("list:"):
+        return st.tuples(*map(_scaled, ALL_KEYS[key].split(", "))).map(", ".join)
+    return _scaled(ALL_KEYS[key])
+
+
+def _unit_of_factor_one(kind: str) -> str:
+    table = UNIT_TABLES.get(kind.partition(":")[2], {})
+    return next((unit for unit, factor in table.items() if factor == 1.0), "")
+
+
 class TestProperties:
+    # Writing a key's flat value back in its table's unit of factor 1 must
+    # store the same field: the flat form is what the file says.
+    @pytest.mark.parametrize("key", sorted(key for key, (_, path) in KEYS.items() if path))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_flat_value_round_trips_through_the_file(self, key, data):
+        kind, path = KEYS[key]
+        before = parse_scenario_text(f"{key} = {data.draw(_file_value(key))}\n")
+        flat = before.to_flat()[key]
+        unit = _unit_of_factor_one(kind)
+        written = ", ".join(item if isinstance(item, str) else f"{item!r} {unit}".strip()
+                            for item in (flat if kind.startswith("list:") else [flat]))
+        after = parse_scenario_text(f"{key} = {written}\n")
+        assert after.to_flat()[key] == flat
+        assert attrgetter(path)(after) == attrgetter(path)(before)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(key=st.sampled_from(sorted(KEYS) + ["fiber.bogus"]), raw=_VALUES)
