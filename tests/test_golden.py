@@ -88,13 +88,13 @@ GOLDEN = {
         "budget.txt":
             "12bbc81d613683bb280d28a5796830ad5a905ed463f19b1fb67289e9bbfe761c",
         "run_manifest.json":
-            "1c2b68c8b864382261bb80d494f6ceab199abab6a50eb26735150506a98d4478",
+            "9db87bfdc73a3ade77cbdd5e4cc1f9ab56f5a5e78640a968a099508d16ce383f",
     },
     "calibrate_input_flat_position": {
         "calibration_report.json":
             "1c98314d43f589fbfc5100ac6d8149730d9a1bf1877351d88d3d2700fdf0767f",
         "run_manifest.json":
-            "befdafe4ab063841963692111676e7c0df20553ed6f97a59209171416b3f66cf",
+            "089eaa12179d6b61b4bc96d352f4dc97552df80845e7ad9f09e2bc50965af76e",
         "sweep_fits.csv":
             "f3561088adec546f341f7ec64a9194db4ab0b4f79dc031a577b165e715f228a8",
         "v0_profile.csv":
@@ -104,7 +104,7 @@ GOLDEN = {
         "calibration_report.json":
             "9aa27d1952a9de649a33d93a9514f2da12c675324801d72e8a1729de0237fa1e",
         "run_manifest.json":
-            "a162d6488e65d4af8f148de29e6b81416eac2f2bc1331f24fcc1aa4a932178f4",
+            "cd831f340fc226639dc3f9decabf1c9afc7a4f3cbdb42352201f6e7d1ff65de1",
         "sweep_fits.csv":
             "a949799ecb3adce9b7892c14703120e177ebd77e10eba6192e62824bce942c90",
         "v0_profile.csv":
@@ -114,7 +114,7 @@ GOLDEN = {
         "calibration_report.json":
             "a1fb9fc7cb3a8d1a448d696cb780528f39fb6df7b6a4f9011832353384296284",
         "run_manifest.json":
-            "f036c14be2e88b336e0a3d6fd72a581adba10f672296f41cdf622e51111c1fe8",
+            "ff20643f7a491801c60c4760ab2dba3db0a2de548a1aa726f435fcb40d78c1eb",
         "sweep_fits.csv":
             "443b806110734fbe19b22c98ea36479b40df849d3df44b0f1420de475b839bb9",
         "v0_profile.csv":
@@ -124,33 +124,33 @@ GOLDEN = {
         "michelson_report.json":
             "44c4cd198644cb07ff855f5a5239223a40f2ba795657176963968e7904058ecb",
         "run_manifest.json":
-            "35edc26580541449a1dd4ef4a737a9c6ab8e3fa56dad6bfad4164375e6de9309",
+            "5f845e3957a5b854db78b06bf06bb5e5987abcf6ca51b1a06ece290b1480d4eb",
     },
     "simulate_noise_jitter": {
         "run_manifest.json":
-            "5b99a6f752f84a86ae91508524a0082392726adedea827129b17056f22f06490",
+            "32e017ff4cf41cf8f40fd1a124db15db57cd63021b365e7eba578736829734a4",
         "summary.json":
-            "d08d269e077ecb603d7f62bcc80a7cba46b1a3bc94149fed162cd6a4cd35fcfe",
+            "7140fc4a81a7edf50012f3954f1b05ddaeab5155dab17ec91caafaa87109c1d2",
         "timeseries.csv":
             "41471061e4f120618c3fcd0f96cee0ad2e1a5a2758f151feca7635cd006ca211",
     },
     "simulate_quadratic_json": {
         "run_manifest.json":
-            "ce5173631c0ac062b6034af848f17dadf7fc15d08851a0000b1ccc30ae8f4879",
+            "8593d25fc309e441442be43b98c7333e7bdcaddcc571e9c2e39335591f1ede32",
         "summary.json":
-            "ddadd635485cb81a24ef24f356aec23156b82b33d54a83081e964a7561bfc035",
+            "88c625afde7f933d68742b9573ed1f7953db7672539da46363f1983feba4937a",
         "timeseries.json":
             "6086cbad60b22c8e5b39fd9d477bb78452ab1ed30fa12d3352fc3a883a9d2652",
     },
     "sweep_force": {
         "run_manifest.json":
-            "5c27f392a352b9b149297890c01af0ee8aeb0d8ec111111362ad414d737ed17f",
+            "56fdfbdeab10e3eaf614acd0009f9b8ddafbc4b6bc5e2a86c182dedbdd340613",
         "sweep_summary.csv":
             "71189b2a801ed3cc9c1ab34811e2ed58919561a200ef73edeab07cefa671a55a",
     },
     "sweep_position_jitter": {
         "run_manifest.json":
-            "557f4024ec8aa5b215de45d291c36596ed8decfc9eb1015fe2c601ccd5c03802",
+            "cc0c8217f67b6e619949c3a155521d8956abcfd6021f33cdc56a3a377dce097e",
         "sweep_summary.csv":
             "c76656274d1562d2e5f76945e60ebbfc3beaf651a67296c0478eaceff9835b69",
     },

@@ -232,7 +232,7 @@ class TestHashPins:
 
     def test_default(self):
         assert scenario_hash(Scenario()) == (
-            "053ec97f51b68cc9634919e5396fced0668ac63c2131975b4c711adc42a9978f"
+            "4c4f97adfd74b6c92b5090d24f0c33487512606441c60a9aabd7986cb5669487"
         )
 
     def test_every_key_at_a_non_default_value(self):
@@ -241,13 +241,13 @@ class TestHashPins:
         assert flat.keys() == set(KEYS) - {"sphere.preset"}
         assert [key for key in flat if flat[key] == default[key]] == []
         assert scenario_hash(s) == (
-            "741fd64ff4d67bf325134fbae290726aeb9c754e2544a7c4c47a108e682ccfd2"
+            "2e75165b9f3ee13f067bdab9122721cee9d6b0b3e8c94dde6ec19e9919b9d228"
         )
 
     def test_sphere_preset(self):
         s = parse_scenario_text("sphere.preset = lens-1.10mm\nseed = 7\n")
         assert scenario_hash(s) == (
-            "66ec08b1f9daa4e73289dfa0606d163101074dffe49500061f7e30432c0f414d"
+            "fb054ce88d9ad794bdce8c04e7a00fd3d44975147862b6da23be3f9d8ecfe919"
         )
 
 
