@@ -273,7 +273,7 @@ def run_electrostatic_calibration(scenario) -> CalibrationResult:
     if len(positions) < 2:
         raise DomainError(f"run.positions needs at least two positions, got {len(positions)}")
     if any(b <= a for a, b in zip(positions, positions[1:])):
-        raise DomainError("positions must be strictly increasing toward contact")
+        raise DomainError("run.positions must be strictly increasing toward contact")
     if "electrostatic" not in forces.components:
         raise DomainError("forces.components must enable electrostatic for calibration")
     for d_r in positions:

@@ -177,17 +177,17 @@ class TestSimulate:
                 summary["settled_theta_rms_rad"]) == (
             result.steady_delta_v, result.settled_theta_mean, result.settled_theta_rms)
 
-    # a large bias makes the sign-flipped gain run away inside the pre-check
-    @pytest.mark.parametrize("text,message", [
-        ("control.kp = -0.5 V/mV\n", "loop does not regulate the test step"),
-        ("control.kp = -5 V/mV\nactuator.fb_bias = 1e4 V\n",
-         "loop diverged during stability pre-check"),
-    ], ids=["limit_cycle", "diverges"])
-    def test_unstable_gains_exit_code(self, tmp_path, capsys, text, message):
-        cfg = _cfg(tmp_path, FAST_SIM + text)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
-        assert message in capsys.readouterr().err
+    def test_unstable_gains_exit_code(self, tmp_path, capsys):
+        # with a large bias the sign-flipped gain runs away inside the pre-check
+        for text, message in [
+            ("control.kp = -0.5 V/mV\n", "loop does not regulate the test step"),
+            ("control.kp = -5 V/mV\nactuator.fb_bias = 1e4 V\n",
+             "loop diverged during stability pre-check"),
+        ]:
+            cfg = _cfg(tmp_path, FAST_SIM + text)
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
+            assert message in capsys.readouterr().err
 
     def test_limit_cycle_counts_as_instability(self, tmp_path):
         # sign-flipped P gain with the default I/D terms and a quantized
@@ -329,10 +329,11 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("text,keys", [
         ("run.positions = 1 um\n", ["run.positions"]),
+        ("run.positions = 2 um, 1 um\n", ["run.positions"]),
         ("run.positions = 1 um, 2 um\nforces.components = patch\n", ["forces.components"]),
         ("run.positions = 1 um, 3 um\nrun.contact_offset = 2 um\n",
          ["run.positions", "run.contact_offset"]),
-    ], ids=["one_position", "no_electrostatic", "beyond_contact"])
+    ], ids=["one_position", "decreasing", "no_electrostatic", "beyond_contact"])
     def test_refusal_exits_2_and_names_the_keys(self, tmp_path, capsys, text, keys):
         cfg = _cfg(tmp_path, text + "run.voltages = -0.1 V, 0 V, 0.1 V\n")
         code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -228,7 +228,8 @@ class TestPresetsAndRoundTrip:
 
 
 class TestHashPins:
-    """scenario_hash of fixed scenarios, captured before the key table existed."""
+    """scenario_hash of fixed scenarios: an edit that moves one breaks the hash
+    of every saved run, so it must be made on purpose."""
 
     def test_default(self):
         assert scenario_hash(Scenario()) == (
@@ -272,7 +273,6 @@ def _scaled(raw: str):
     return st.floats(0.5, 2.0).map(lambda f: f"{float(number) * f!r} {unit}".strip())
 
 
-_BOOLS = st.sampled_from(["true", "false", "yes", "off"])
 _VALID = {
     "forces.patch_exponent": st.floats(1.0, 4.0).map(repr),
     "sphere.material": st.sampled_from(["gold", "fused silica, Au coated", "Ge"]),
@@ -283,13 +283,13 @@ _VALID = {
 
 
 def _file_value(key: str):
-    kind = KEYS[key][0]
     if key in _VALID:
         return _VALID[key]
+    kind = KEYS[key][0]
     if kind == "int":
         return st.integers(0, 2**63).map(str)
     if kind == "bool":
-        return _BOOLS
+        return st.sampled_from(["true", "false", "yes", "off"])
     if kind.startswith("list:"):
         return st.tuples(*map(_scaled, ALL_KEYS[key].split(", "))).map(", ".join)
     return _scaled(ALL_KEYS[key])
