@@ -272,6 +272,8 @@ def run_electrostatic_calibration(scenario) -> CalibrationResult:
     voltages = [float(v) for v in run.voltages]
     if len(positions) < 2:
         raise DomainError(f"run.positions needs at least two positions, got {len(positions)}")
+    if not voltages:
+        raise DomainError("run.voltages needs at least one voltage, got none")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise DomainError("run.positions must be strictly increasing toward contact")
     if "electrostatic" not in forces.components:

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, InstabilityError, NumericalError, TorsionLabError
-from .manifest import build_manifest, utc_now, write_manifest
+from .manifest import utc_now, write_json, write_manifest
 from .scenario import Scenario, load_scenario, scenario_hash
 from .sensitivity import build_report
 
@@ -73,13 +73,6 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _write_json(path: Path, payload) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _write_csv(path: Path, header, rows) -> Path:
     """Write rows of numbers as their repr, with None as an empty cell."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -107,9 +100,8 @@ def _command(name: str):
             except OSError as exc:
                 raise ConfigError(f"cannot create output directory {out}: {exc}") from None
             artifacts, message = body(args, scenario, out)
-            manifest = build_manifest(scenario_hash(scenario), name.format(**vars(args)),
-                                      scenario.seed, started, artifacts, out)
-            write_manifest(manifest, out)
+            write_manifest(out, scenario_hash(scenario), name.format(**vars(args)),
+                           scenario.seed, started, artifacts)
             print(message)
             return EXIT_OK
         return run
@@ -125,7 +117,7 @@ def write_loop_csv(fh, k0: int, columns) -> None:
 
 
 def write_loop_json(fh, k0: int, columns) -> None:
-    """_write_json's list of row dicts, a block at a time; the caller closes the list."""
+    """write_json's list of row dicts, a block at a time; the caller closes the list."""
     encode = json.JSONEncoder(indent=2, sort_keys=True).encode
     rows = (encode(dict(zip(LOOP_COLUMNS, row))).replace("\n", "\n  ") for row in zip(*columns))
     fh.write(("[\n  " if k0 == 0 else ",\n  ") + ",\n  ".join(rows))
@@ -158,7 +150,7 @@ def cmd_simulate(args, scenario, out):
         "settled_theta_rms_rad": theta_rms,
         "samples": n,
     }
-    return ([series, _write_json(out / "summary.json", summary)],
+    return ([series, write_json(out / "summary.json", summary)],
             f"steady deltaV = {steady:.6g} V over {n} samples")
 
 
@@ -175,11 +167,6 @@ def cmd_calibrate(args, scenario, out):
         sweeps = sweeps_from_csv(args.input)
         result = calibrate_sweeps(sweeps, scenario.forces.sphere.radius)
     else:
-        if not scenario.run.positions or not scenario.run.voltages:
-            raise ConfigError(
-                "calibration needs run.positions and run.voltages in the scenario "
-                "(or --input CSV)"
-            )
         result = run_electrostatic_calibration(scenario)
     rows = [_position_record(p) for p in result.positions]
     report = {
@@ -191,7 +178,7 @@ def cmd_calibrate(args, scenario, out):
         "positions": rows,
     }
     artifacts = [
-        _write_json(out / "calibration_report.json", report),
+        write_json(out / "calibration_report.json", report),
         _write_csv(out / "v0_profile.csv", ("d_m", "V0_V"), result.v0_profile),
         _write_csv(out / "sweep_fits.csv", POSITION_COLUMNS,
                    ([row[col] for col in POSITION_COLUMNS] for row in rows)),
@@ -241,7 +228,7 @@ def cmd_budget(args, scenario, out):
     text = _budget_text(report)
     text_path = out / "budget.txt"
     text_path.write_text(text + "\n", encoding="utf-8")
-    return [_write_json(out / "budget.json", payload), text_path], text
+    return [write_json(out / "budget.json", payload), text_path], text
 
 
 @_command("michelson")
@@ -279,7 +266,7 @@ def cmd_michelson(args, scenario, out):
         "wavelength_m": trace.wavelength,
         "fringe_displacement_m": trace.wavelength / 2.0,
     }
-    return [_write_json(out / "michelson_report.json", payload)], (
+    return [write_json(out / "michelson_report.json", payload)], (
         f"gain = {fit.gain * 1e9:.4f} nm/V, visibility = {fit.visibility:.3f}, "
         f"{fit.n_fringes:.1f} fringes"
     )

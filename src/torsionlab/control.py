@@ -24,6 +24,7 @@ from .dynamics import (_damping_coefficient, _propagator, _round_half_away, chec
                        natural_frequency)
 from .errors import DomainError, InstabilityError
 from .forces import ForceModelParams, force_law, torsion_constant
+# ACTUATOR_MODES and PidConfig moved to instrument and still resolve here
 from .instrument import ACTUATOR_MODES, ActuatorSpec, BalanceSpec, GapState, PidConfig
 
 __all__ = [
@@ -56,13 +57,9 @@ def _feedback_law(spec: ActuatorSpec, balance: BalanceSpec, mode: str,
     Linear mode is its small-signal slope eps0 A bias δV / gap^2 * r_fb.
     The plate constants are hoisted out of the returned function.
     """
-    if spec.fb_gap <= 0:
-        raise DomainError("feedback-plate gap must be positive")
-    if mode not in ACTUATOR_MODES:
-        raise DomainError(f"actuator mode must be one of {ACTUATOR_MODES}")
     try:
         scale = CONSTANTS.eps0 * spec.fb_plate_area / spec.fb_gap**2
-    except (OverflowError, ZeroDivisionError):  # fb_gap**2 beyond float range
+    except (OverflowError, ZeroDivisionError):  # fb_gap**2 is 0 or beyond float range
         raise DomainError(f"feedback-plate constant eps0 * A / gap^2 leaves the float range "
                           f"for actuator.fb_gap = {spec.fb_gap:.6g} m") from None
     arm = balance.feedback_arm
@@ -164,12 +161,12 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
     the same bits alone or in a batch. Only a loop that draws builds
     generators: one with neither PZT jitter nor thermal kicks, the
     pre-check's among them, never loads ``numpy.random``. Runs differ only in
-    load, seed and label, and either all have a gap or none has; a gap
-    outside the PZT travel [0, pzt_range] raises DomainError with or without
-    jitter. The loop evaluates each run's ``forces.force_law``, which gives
-    the total force only. |theta| over 1 rad, or over 100x
-    ``run.delta_theta_min`` after the first third, raises InstabilityError
-    naming the run.
+    load, seed and label, and either all have a gap or none has; each gap's
+    command lies within the PZT travel, as the ``Scenario`` requires of
+    ``run.position`` and ``run.positions``. The loop evaluates each run's
+    ``forces.force_law``, which gives the total force only. |theta| over
+    1 rad, or over 100x ``run.delta_theta_min`` after the first third,
+    raises InstabilityError naming the run.
 
     The loop steps in blocks of BLOCK_STEPS, each drawing its normals, if
     any, first. A step evaluates its load at its realized gap, so a gap that
@@ -209,12 +206,7 @@ def _closed_loop(scenario, runs, *, check_stability: bool = True, record=None) -
     draws = (pzt_sigma > 0.0) + (kick_sigma > 0.0)
     rngs = [np.random.default_rng(r.seed) for r in runs] if draws else []
 
-    command = [r.gap.relative_position if r.gap is not None else 0.0 for r in runs]
-    travel = instrument.actuator.pzt_range
-    outside = [c for c in command if not 0.0 <= c <= travel]
-    if outside:
-        raise DomainError(f"PZT command d_r = {outside[0]:.6g} m lies outside [0, {travel:.6g}] m")
-    command = vector(command)
+    command = vector([r.gap.relative_position if r.gap is not None else 0.0 for r in runs])
 
     loads = [_load(r) for r in runs]
     load = loads[0] if batch == 1 else (

@@ -60,11 +60,6 @@ def torsion_constant(fiber) -> float:
     return alpha
 
 
-def _check_gap(d: float) -> None:
-    if d <= 0 or not math.isfinite(d):
-        raise DomainError(f"gap distance d = {d!r} must be positive and finite")
-
-
 def _require_open(d: float) -> float:
     if d <= 0 or not math.isfinite(d):
         raise DomainError(f"absolute gap d = d0 - d_r = {d:.3g} m must be positive")
@@ -91,7 +86,7 @@ def electrostatic_force_pfa(R: float, V: float, V0: float, d: float) -> float:
 
     F = pi * R * eps0 * (V - V0)^2 / d, valid for d << R.
     """
-    _check_gap(d)
+    _require_open(d)
     return _electrostatic_pfa_law(R, V, lambda _: V0)(d)
 
 
@@ -108,7 +103,7 @@ def electrostatic_force_exact(R: float, V: float, V0: float, d: float) -> float:
     running total (the n = 1 term vanishes identically, hence the
     minimum term count before testing).
     """
-    _check_gap(d)
+    _require_open(d)
     _check_radius(R)
     dv = V - V0
     if dv == 0.0:
@@ -149,7 +144,7 @@ def casimir_force_ideal(R: float, d: float) -> float:
     F = pi^3 hbar c R / (360 d^3). A warning is emitted for d/R > 0.1
     where the proximity-force picture degrades.
     """
-    _check_gap(d)
+    _require_open(d)
     return _casimir_ideal_law(R)(d)
 
 
@@ -165,7 +160,7 @@ def casimir_force_thermal(R: float, d: float, T: float) -> float:
 
     F = zeta(3) k_b T R / (8 d^2).
     """
-    _check_gap(d)
+    _require_open(d)
     return _casimir_thermal_law(R, T)(d)
 
 
@@ -191,7 +186,7 @@ def patch_force(R: float, d: float, V_patch: float, n: float = 1.0) -> float:
     F = pi * R * eps0 * V_patch^2 * d_ref^(n-1) / d^n with d_ref = 1 um.
     n = 1 reproduces the electrostatic form with an rms residual voltage.
     """
-    _check_gap(d)
+    _require_open(d)
     return _patch_law(R, V_patch, n)(d)
 
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["RunManifest", "sha256", "file_sha256", "build_manifest", "write_manifest",
-           "verify_manifest"]
+__all__ = ["sha256", "file_sha256", "write_json", "write_manifest", "verify_manifest"]
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -39,55 +37,33 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-@dataclass
-class RunManifest:
-    scenario_hash: str
-    tool_version: str
-    command: str
-    seed: int
-    started_at: str
-    finished_at: str
-    artifacts: list
-
-
-def build_manifest(
-    scenario_digest: str,
-    command: str,
-    seed: int,
-    started_at: str,
-    artifact_paths,
-    base_dir,
-) -> RunManifest:
-    base = Path(base_dir)
-    artifacts = []
-    for p in artifact_paths:
-        p = Path(p)
-        artifacts.append(
-            {
-                "path": str(p.relative_to(base)),
-                "sha256": file_sha256(p),
-                "bytes": p.stat().st_size,
-            }
-        )
-    from . import __version__
-
-    return RunManifest(
-        scenario_hash=scenario_digest,
-        tool_version=__version__,
-        command=command,
-        seed=seed,
-        started_at=started_at,
-        finished_at=utc_now(),
-        artifacts=artifacts,
-    )
-
-
-def write_manifest(manifest: RunManifest, out_dir) -> Path:
-    path = Path(out_dir) / MANIFEST_NAME
+def write_json(path, payload) -> Path:
+    """Write ``payload`` as JSON with sorted keys, an indent of 2 and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def write_manifest(out_dir, scenario_digest: str, command: str, seed: int, started_at: str,
+                   artifact_paths) -> Path:
+    """Hash the artifacts under ``out_dir``, then write their manifest there."""
+    base = Path(out_dir)
+    artifacts = [
+        {"path": str(p.relative_to(base)), "sha256": file_sha256(p), "bytes": p.stat().st_size}
+        for p in map(Path, artifact_paths)
+    ]
+    from . import __version__
+
+    return write_json(base / MANIFEST_NAME, {
+        "scenario_hash": scenario_digest,
+        "tool_version": __version__,
+        "command": command,
+        "seed": seed,
+        "started_at": started_at,
+        "finished_at": utc_now(),
+        "artifacts": artifacts,
+    })
 
 
 def verify_manifest(path) -> list:

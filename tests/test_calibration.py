@@ -251,6 +251,14 @@ class TestSimulatedCalibration:
         with pytest.raises(DomainError):
             _calibration(_forces(), [4e-6, 2e-6, 6e-6, 8e-6], np.linspace(-0.1, 0.1, 7))
 
+    def test_no_voltages_is_refused_by_name(self, monkeypatch):
+        # refused before the stability pre-check or any step
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the loop ran")
+        monkeypatch.setattr("torsionlab.calibration._closed_loop", forbidden)
+        with pytest.raises(DomainError, match="run.voltages"):
+            _calibration(_forces(), [2e-6, 4e-6, 6e-6], [])
+
 
 class TestDecomposeResidual:
     D = np.geomspace(1e-6, 10e-6, 12)

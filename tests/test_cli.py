@@ -97,12 +97,12 @@ class TestSimulate:
         assert len(text.splitlines()) == len(rows) + 1 and ",-0.0," in text
 
     def test_loop_json_blocks_keep_the_whole_array_bytes(self, tmp_path):
-        # the blocks, closed by the caller, come out as _write_json dumps the
+        # the blocks, closed by the caller, come out as write_json dumps the
         # whole list of row dicts
         rows = self._write_blocks(cli.write_loop_json, tmp_path / "blocks.json")
         with open(tmp_path / "blocks.json", "a", encoding="utf-8") as fh:
             fh.write("\n]\n")
-        cli._write_json(tmp_path / "whole.json", [dict(zip(cli.LOOP_COLUMNS, r)) for r in rows])
+        cli.write_json(tmp_path / "whole.json", [dict(zip(cli.LOOP_COLUMNS, r)) for r in rows])
         text = (tmp_path / "blocks.json").read_text()
         assert text == (tmp_path / "whole.json").read_text()
         assert len(json.loads(text)) == len(rows) and '"error_mV": -0.0,' in text
@@ -326,6 +326,12 @@ class TestCalibrate:
 
     def test_scenario_without_schedule_is_config_error(self, tmp_path):
         assert main(["calibrate", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_scenario_without_voltages_exits_2_and_names_the_key(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "run.positions = 1 um, 2 um, 3 um\n")
+        code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "run.voltages" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,keys", [
         ("run.positions = 1 um\n", ["run.positions"]),

@@ -27,8 +27,7 @@ from torsionlab import (
     run_null_measurement,
     torsion_constant,
 )
-from torsionlab.control import (BLOCK_STEPS, MAX_STEPS, _closed_loop, _feedback_law, _Run,
-                                _step_count)
+from torsionlab.control import BLOCK_STEPS, MAX_STEPS, _feedback_law, _step_count
 from torsionlab.errors import DomainError, InstabilityError
 from test_loop_oracle import scalar_loop
 
@@ -131,10 +130,6 @@ class TestFeedbackTorque:
         bad = SimpleNamespace(fb_plate_area=1e-4, fb_gap=gap, fb_bias=10.0)
         with pytest.raises(DomainError, match="actuator.fb_gap"):
             _feedback_law(bad, self.BAL, "linear")
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(DomainError):
-            _feedback_law(self.ACT, self.BAL, "cubic")
 
 
 def _run(force, duration=300.0, seed=0, **kwargs):
@@ -261,18 +256,6 @@ class TestStepCap:
     def test_rejects_unroundable_durations_before_rounding(self, duration):
         with pytest.raises(DomainError, match="run.duration"):
             self._steps(duration)
-
-
-class TestPztRange:
-    # A scenario refuses such a run.position itself, so the run goes to the
-    # kernel directly: its own travel check is the one under test.
-    @pytest.mark.parametrize("jitter", [False, True])
-    @pytest.mark.parametrize("d_r", [-1e-6, 20e-6])
-    def test_command_outside_travel_raises_in_both_jitter_modes(self, jitter, d_r):
-        forces = ForceModelParams(components=frozenset({"electrostatic"}))
-        with pytest.raises(DomainError, match=r"outside \[0, 1\.5e-05\] m"):
-            _closed_loop(_scenario(duration=30.0, pzt_jitter=jitter),
-                         [_Run(forces, GapState(30e-6, d_r))])
 
 
 class TestForceLawInTheKernel:

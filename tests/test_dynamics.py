@@ -248,8 +248,9 @@ class TestPzt:
         assert np.sqrt(np.mean(errs**2)) == pytest.approx(0.2e-9, rel=0.03)
 
     def test_out_of_range_clamps_with_flag(self):
-        # the kernel rejects such a command outright (tests/test_control.py
-        # TestPztRange); the clamp and its flag live in the scalar reference only
+        # a scenario refuses such a position outright (tests/test_scenario.py
+        # test_positions_must_lie_within_pzt_range); the clamp and its flag live
+        # in the scalar reference only
         spec = ActuatorSpec(pzt_accuracy=0.0, pzt_range=15e-6)
         out = pzt_actual_position(20e-6, spec, np.random.default_rng(0))
         assert out.saturated

@@ -194,11 +194,15 @@ class TestRejection:
             cls(**{name: float("nan")})
 
     def test_positions_must_lie_within_pzt_range(self):
-        parse_scenario_text("run.position = 15 um\nrun.positions = 0 um, 15 um\n")
-        with pytest.raises(ConfigError, match=r"run.positions = 1.6e-05 m lies outside"):
-            parse_scenario_text("run.positions = 1 um, 16 um\n")
-        with pytest.raises(ConfigError, match=r"run.position = 6e-06 m .*pzt_range"):
-            parse_scenario_text("actuator.pzt_range = 5 um\nrun.position = 6 um\n")
+        # refused as given in both jitter modes: no run clamps its command
+        for mode in ("run.pzt_jitter = false\n", "run.pzt_jitter = true\n"):
+            parse_scenario_text(mode + "run.position = 15 um\nrun.positions = 0 um, 15 um\n")
+            with pytest.raises(ConfigError, match=r"run.positions = 1.6e-05 m lies outside"):
+                parse_scenario_text(mode + "run.positions = 1 um, 16 um\n")
+            with pytest.raises(ConfigError, match=r"run.position = 6e-06 m .*pzt_range"):
+                parse_scenario_text(mode + "actuator.pzt_range = 5 um\nrun.position = 6 um\n")
+            with pytest.raises(ConfigError, match=r"run.position = -1e-06 m lies outside"):
+                parse_scenario_text(mode + "run.position = -1 um\n")
 
 
 class TestPresetsAndRoundTrip:

@@ -84,7 +84,7 @@ def test_short_simulate_loads_no_scipy_and_no_pool(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-def test_forked_sweep_loads_no_pool(tmp_path):
+def test_sweep_with_workers_loads_no_pool(tmp_path):
     (tmp_path / "scan.cfg").write_text("run.duration = 20 s\nforces.components = \n"
                                        "run.forces = 10 pN, 100 pN\n")
     code = _cli_run("sweep", "--axis", "force", "--config", "scan.cfg", "--workers", "2",
