@@ -71,8 +71,6 @@ class VoltageSweep:
                 f"sweep at d_r = {self.d_r:.3g} m needs >= 5 distinct voltages, "
                 f"got {len(volts)}"
             )
-        if max(volts) - min(volts) <= 0:
-            raise DomainError("voltage sweep has zero spread")
 
 
 @dataclass(frozen=True)
@@ -353,11 +351,16 @@ def decompose_residual(points, *, nonnegative: bool = False, weights=None) -> Re
             f"basis condition number {cond:.3g} > 1e12 after column scaling; "
             "widen the distance span"
         )
-    if nonnegative:
-        from scipy.optimize import nnls
-        coef_s, _ = nnls(Xs, yw)
-    else:
-        coef_s, _, _, _ = np.linalg.lstsq(Xs, yw, rcond=None)
+    coef_s = np.linalg.lstsq(Xs, yw, rcond=None)[0]
+    if nonnegative and np.any(coef_s < 0):
+        # convex, so the optimum is the best feasible fit on fewer columns, or zero
+        fits = [np.zeros(3)]
+        for cols in ((0, 1), (0, 2), (1, 2), (0,), (1,), (2,)):
+            fit = np.zeros(3)
+            fit[list(cols)] = np.linalg.lstsq(Xs[:, cols], yw, rcond=None)[0]
+            if np.all(fit >= 0):
+                fits.append(fit)
+        coef_s = min(fits, key=lambda c: float(np.sum((yw - Xs @ c) ** 2)))
     coef = coef_s / scale
     resid = yw - Xs @ coef_s
     dof = len(d) - 3
@@ -447,11 +450,12 @@ def synthetic_michelson_trace(
 def michelson_calibrate(trace: MichelsonTrace) -> MichelsonCalibration:
     """Recover the PZT volts-to-meters gain from fringe periodicity.
 
-    One fringe corresponds to a displacement of lambda/2. The fringe
-    frequency is seeded from the discrete spectrum's dominant peak and
-    refined with a full nonlinear fit of
-
-        I(V) = I0 * (1 + visibility * cos(4 pi gain V / lambda + phase)).
+    One fringe corresponds to a displacement of lambda/2. At a fixed gain,
+    I(V) = I0 * (1 + visibility * cos(4 pi gain V / lambda + phase)) is linear
+    in I0, I0 visibility cos(phase) and -I0 visibility sin(phase), so those
+    are solved exactly and only the gain is searched (variable projection):
+    a scan of the fringe count over the spectrum's dominant peak +- one
+    fringe, then golden section on the best bracket.
     """
     v = trace.pzt_volts
     y = trace.intensity
@@ -460,34 +464,48 @@ def michelson_calibrate(trace: MichelsonTrace) -> MichelsonCalibration:
     span = float(v[-1] - v[0])
     if span <= 0:
         raise InsufficientDataError("trace does not span a voltage range")
-    y_ac = y - np.mean(y)
     if float(np.max(y) - np.min(y)) <= 1e-12 * max(abs(float(np.mean(y))), 1.0):
         raise InsufficientDataError("intensity is constant; no fringes to fit")
-    spectrum = np.abs(np.fft.rfft(y_ac))
+    spectrum = np.abs(np.fft.rfft(y - np.mean(y)))
     k_peak = int(np.argmax(spectrum[1:])) + 1  # cycles across the record
     if k_peak < 2:
         raise InsufficientDataError(
             f"only {k_peak} fringe(s) covered; need at least 2 for a period fit"
         )
-    gain0 = k_peak * (trace.wavelength / 2.0) / span
+    basis = np.ones((3, len(v)))  # rows: 1, then cos and sin of the fringe phase
 
-    def model(volts, i0, vis, gain, phase):
-        return i0 * (1.0 + vis * np.cos(4.0 * math.pi * gain * volts / trace.wavelength + phase))
+    def projection(fringes):
+        """The least-squares (I0, I0 vis cos phase, -I0 vis sin phase) at
+        ``fringes`` across the record, and the residual sum of squares."""
+        np.multiply(v, 2.0 * math.pi * fringes / span, out=basis[2])
+        np.cos(basis[2], out=basis[1])
+        np.sin(basis[2], out=basis[2])
+        coef = np.linalg.solve(basis @ basis.T, basis @ y)
+        resid = y - coef @ basis
+        return coef, float(resid @ resid)
 
-    p0 = [float(np.mean(y)), 0.5, gain0, 0.0]
-    from scipy.optimize import OptimizeWarning, curve_fit
-    with warnings.catch_warnings():
-        # noiseless traces fit exactly; the singular covariance is irrelevant
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(model, v, y, p0=p0, maxfev=20000)
-    i0, vis, gain, phase = (float(x) for x in popt)
-    if gain < 0:  # cos is even: fold the sign into the phase convention
-        gain, phase = -gain, -phase
-    if vis < 0:
-        vis, phase = -vis, phase + math.pi
-    phase = math.remainder(phase, 2.0 * math.pi)
-    resid = y - model(v, i0, vis, gain, phase)
-    n_fringes = span * gain / (trace.wavelength / 2.0)
+    # the residual dips within +- 1 fringe of the true count: a 0.2-fringe scan lands in the dip
+    scan = np.linspace(k_peak - 1.0, k_peak + 1.0, 11)
+    best = int(np.argmin([projection(m)[1] for m in scan]))
+    lo, hi = float(scan[max(best - 1, 0)]), float(scan[min(best + 1, len(scan) - 1)])
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f_a, f_b = projection(a)[1], projection(b)[1]
+    while hi - lo > 1e-12 * hi:
+        if f_a < f_b:
+            hi, b, f_b = b, a, f_a
+            a = hi - ratio * (hi - lo)
+            f_a = projection(a)[1]
+        else:
+            lo, a, f_a = a, b, f_b
+            b = lo + ratio * (hi - lo)
+            f_b = projection(b)[1]
+    n_fringes = (lo + hi) / 2.0
+    (i0, in_phase, quadrature), rss = projection(n_fringes)
+    if not i0 > 0:
+        raise InfeasibleFitError(f"fitted mean intensity I0 = {i0:.4g} is not positive; the "
+                                 "fringe model needs the intensity, not an AC-coupled trace")
+    vis = math.hypot(in_phase, quadrature) / float(i0)
     low = vis < 0.1
     if low:
         warnings.warn(
@@ -496,12 +514,12 @@ def michelson_calibrate(trace: MichelsonTrace) -> MichelsonCalibration:
             stacklevel=2,
         )
     return MichelsonCalibration(
-        gain=gain,
+        gain=n_fringes * (trace.wavelength / 2.0) / span,
         visibility=vis,
-        phase=phase,
-        mean_intensity=i0,
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-        n_fringes=float(n_fringes),
+        phase=math.atan2(-quadrature, in_phase),
+        mean_intensity=float(i0),
+        rms_residual=math.sqrt(rss / len(y)),
+        n_fringes=n_fringes,
         low_contrast=low,
     )
 

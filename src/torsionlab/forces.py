@@ -36,6 +36,8 @@ COMPONENTS = ("electrostatic", "casimir_ideal", "casimir_thermal", "patch")
 
 _EXACT_SERIES_TOL = 1e-15
 _EXACT_SERIES_MAX_TERMS = 10**6
+# force_law and total_force take d = d0 - d_r; the loop appends the run's name
+_CLOSED_GAP = "absolute gap d = d0 - d_r = {:.3g} m must be positive"
 
 
 def torsion_constant(fiber) -> float:
@@ -60,9 +62,9 @@ def torsion_constant(fiber) -> float:
     return alpha
 
 
-def _require_open(d: float) -> float:
+def _require_open(d: float, refusal: str = "gap d = {:.3g} m must be positive and finite") -> float:
     if d <= 0 or not math.isfinite(d):
-        raise DomainError(f"absolute gap d = d0 - d_r = {d:.3g} m must be positive")
+        raise DomainError(refusal.format(d))
     return d
 
 
@@ -249,13 +251,13 @@ def force_law(params: ForceModelParams):
     as a default argument, so the law gives total_force's bits and errors.
     """
     def law(d, laws=tuple(_component_laws(params).values()), fsum=math.fsum):
-        d = _require_open(d)
+        d = _require_open(d, _CLOSED_GAP)
         return fsum([f(d) for f in laws])
     return law
 
 
 def total_force(params: ForceModelParams, gap: GapState) -> ForceBreakdown:
     """Evaluate every enabled component at the current gap and sum them."""
-    d = _require_open(gap.absolute_gap)
+    d = _require_open(gap.absolute_gap, _CLOSED_GAP)
     parts = {name: law(d) for name, law in _component_laws(params).items()}
     return ForceBreakdown(components=parts, total=math.fsum(parts.values()))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionlab import (
     DetectorSpec,
@@ -125,6 +126,24 @@ class TestContactPointFit:
         pts = list(zip(self.D_R, self._curvatures()))[:3]
         with pytest.raises(InsufficientDataError):
             contact_point_fit(pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(span=st.floats(5.0, 20.0), amplitudes=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           noise=st.lists(st.floats(-0.2, 0.2), min_size=12, max_size=12))
+    def test_nonnegative_fit_meets_the_optimality_conditions(self, span, amplitudes, noise):
+        # Karush-Kuhn-Tucker conditions in the column-scaled basis: c >= 0, and the
+        # gradient X^T (y - X c) is <= 0 where c = 0 and 0 where c > 0
+        d = np.geomspace(1e-6, span * 1e-6, 12)
+        X = np.column_stack([1.0 / d, 1.0 / d**2, 1.0 / d**3])
+        y = X @ (np.array(amplitudes) * [1e-16, 1e-22, 1e-28]) + np.array(noise) * 1e-10
+        fit = decompose_residual(list(zip(d, y)), nonnegative=True)
+        scale = np.linalg.norm(X, axis=0)
+        c = np.array(fit.coefficients) * scale
+        gradient = (X / scale).T @ (y - X @ np.array(fit.coefficients))
+        tol = 1e-9 * np.linalg.norm(y)
+        assert np.all(c >= 0)
+        assert np.all(gradient[c == 0] <= tol)
+        assert np.all(np.abs(gradient[c > 0]) <= tol)
 
     def test_narrow_span_rejected(self):
         d_r = np.array([1.0, 1.2, 1.4, 1.6]) * 1e-6
@@ -338,6 +357,24 @@ class TestMichelson:
         assert fit.visibility == pytest.approx(0.95, abs=1e-6)
         assert fit.n_fringes == pytest.approx(6.0, rel=1e-6)
         assert not fit.low_contrast
+
+    @pytest.mark.parametrize("n_fringes", [2.5, 4.5, 6.5, 9.5])
+    def test_half_integer_fringe_counts(self, n_fringes):
+        # a fit started from guessed visibility and phase read 157.96, 132.04,
+        # 122.12 and 115.10 nm/V here
+        trace = synthetic_michelson_trace(gain=100e-9, visibility=0.95, n_fringes=n_fringes)
+        fit = michelson_calibrate(trace)
+        assert fit.gain == pytest.approx(100e-9, rel=1e-6)
+        assert fit.visibility == pytest.approx(0.95, abs=1e-6)
+
+    def test_outputs_are_plain_python_values(self):
+        # json cannot write a numpy bool
+        trace = synthetic_michelson_trace(gain=100e-9, visibility=0.05, noise_rms=5.0)
+        with pytest.warns(LowContrastWarning):
+            fit = michelson_calibrate(trace)
+        assert type(fit.low_contrast) is bool
+        assert all(type(getattr(fit, name)) is float for name in (
+            "gain", "visibility", "phase", "mean_intensity", "rms_residual", "n_fringes"))
 
     def test_gain_sign_convention_positive(self):
         trace = synthetic_michelson_trace(gain=100e-9, phase=2.5, n_fringes=4.0)

@@ -454,6 +454,26 @@ class TestMichelson:
         assert main(["michelson", "--input", str(data),
                      "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
+    def test_half_integer_fringe_count_recovers_the_gain(self, tmp_path):
+        # a fit started from guessed visibility and phase gave 132.04 nm/V here
+        out = tmp_path / "out"
+        assert main(["michelson", "--synthetic", "--fringes", "4.5", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "michelson_report.json").read_text())
+        assert report["gain_nm_per_V"] == pytest.approx(100.0, abs=1e-4)
+
+    def test_zero_mean_input_trace_exits_3_and_names_the_mean_intensity(self, tmp_path, capsys):
+        # an AC-coupled trace of a 500 nm/V PZT: it gave 474.6 nm/V, the visibility
+        # start guess 0.5 and exit 0
+        volts = np.linspace(0.0, 4.0, 200)
+        intensity = 900.0 * np.cos(4.0 * np.pi * 500e-9 * volts / 632.8e-9)
+        intensity -= intensity.mean()
+        data = tmp_path / "ac.csv"
+        data.write_text("pzt_V,intensity\n" + "".join(
+            f"{v!r},{i!r}\n" for v, i in zip(volts.tolist(), intensity.tolist())))
+        assert main(["michelson", "--input", str(data),
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "mean intensity" in capsys.readouterr().err
+
 
 class TestSweep:
     CFG = (

@@ -215,6 +215,12 @@ class TestCasimirIdeal:
         with pytest.raises(DomainError):
             casimir_force_ideal(0.155, -1e-6)
 
+    def test_a_plain_gap_is_worded_as_the_caller_passed_it(self):
+        # the caller gave d itself, not d0 - d_r
+        with pytest.raises(DomainError) as refused:
+            casimir_force_ideal(1e-4, float("nan"))
+        assert str(refused.value) == "gap d = nan m must be positive and finite"
+
 
 class TestCasimirThermal:
     def test_reference_values(self):

@@ -5,9 +5,9 @@ of every artifact with a digest captured before the refactor it guards.
 run_manifest.json is hashed without its started_at/finished_at lines,
 so its digest pins the command string, the artifact order and the
 artifact sizes. A numeric change that moves a digest must update it
-here on purpose. The bytes depend on the numpy/scipy builds and the C
-math library; the digests were captured with numpy 2.4.6 and scipy
-1.17.1 on glibc 2.36, the versions the CI workflow installs.
+here on purpose. The bytes depend on the numpy build and the C math
+library; the digests were captured with numpy 2.4.6 on glibc 2.36, the
+versions the CI workflow installs.
 """
 
 import hashlib

@@ -1,9 +1,9 @@
-"""Cold-start guard: the CLI's common commands load neither scipy nor a
-process pool, and the math-only paths load no numpy.
+"""Cold-start guard: the CLI's commands load neither scipy nor a process
+pool, and the math-only paths load no numpy.
 
 Every command is a fresh process, so an import on the CLI's path is paid
-on every run. Only ``michelson`` (``curve_fit``) and
-``decompose_residual(nonnegative=True)`` (``nnls``) need scipy.
+on every run. The package needs numpy alone: ``michelson`` and
+``decompose_residual(nonnegative=True)`` fit with it, and load no scipy.
 ``sweep`` runs its points in order in its own process, and no command
 loads ``multiprocessing`` or ``concurrent.futures``. ``import
 torsionlab`` loads no submodule, and ``load_scenario`` and ``budget`` run
@@ -223,7 +223,7 @@ def test_cli_starts_no_blas_pool_thread(tmp_path):
 
 def test_michelson_synthetic_exits_0_in_a_fresh_interpreter(tmp_path):
     loaded = _heavy_modules_after(_cli_run("michelson", "--synthetic", "--out", "out"), tmp_path)
-    assert "scipy.optimize" in loaded
+    assert loaded == []
     assert json.loads((tmp_path / "out" / "michelson_report.json").read_text())["n_fringes"] > 2
 
 
@@ -233,10 +233,11 @@ def test_nonnegative_decomposition_in_a_fresh_interpreter(tmp_path):
         "from torsionlab import decompose_residual\n"
         "d = np.geomspace(1e-6, 10e-6, 12)\n"
         "fit = decompose_residual(list(zip(d, 1e-16 / d - 5e-23 / d**2)), nonnegative=True)\n"
-        "print(fit.c1 >= 0, fit.c2 == 0.0, fit.c3 >= 0)\n",
+        "print(fit.c1 >= 0, fit.c2 == 0.0, fit.c3 >= 0)\n" + REPORT,
         tmp_path,
-    )
-    assert out.split() == ["True", "True", "True"]
+    ).splitlines()
+    assert out[0].split() == ["True", "True", "True"]
+    assert json.loads(out[1]) == []
 
 
 # The package's exports: the 68 names of the eager-import package, less the
