@@ -122,9 +122,9 @@ GOLDEN = {
     },
     "michelson_synthetic_noise": {
         "michelson_report.json":
-            "44c4cd198644cb07ff855f5a5239223a40f2ba795657176963968e7904058ecb",
+            "ec17f57972c0f0c70130ad4317b51a6ea1dd8adabd7ac82e010e2f13ef5885fd",
         "run_manifest.json":
-            "5f845e3957a5b854db78b06bf06bb5e5987abcf6ca51b1a06ece290b1480d4eb",
+            "167ca96bc9bb8a0cba3cb2ccc293f09103cb2ce5f3453a81c3ec63cb5162da97",
     },
     "simulate_noise_jitter": {
         "run_manifest.json":
