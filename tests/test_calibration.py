@@ -127,24 +127,6 @@ class TestContactPointFit:
         with pytest.raises(InsufficientDataError):
             contact_point_fit(pts)
 
-    @settings(max_examples=200, deadline=None)
-    @given(span=st.floats(5.0, 20.0), amplitudes=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
-           noise=st.lists(st.floats(-0.2, 0.2), min_size=12, max_size=12))
-    def test_nonnegative_fit_meets_the_optimality_conditions(self, span, amplitudes, noise):
-        # Karush-Kuhn-Tucker conditions in the column-scaled basis: c >= 0, and the
-        # gradient X^T (y - X c) is <= 0 where c = 0 and 0 where c > 0
-        d = np.geomspace(1e-6, span * 1e-6, 12)
-        X = np.column_stack([1.0 / d, 1.0 / d**2, 1.0 / d**3])
-        y = X @ (np.array(amplitudes) * [1e-16, 1e-22, 1e-28]) + np.array(noise) * 1e-10
-        fit = decompose_residual(list(zip(d, y)), nonnegative=True)
-        scale = np.linalg.norm(X, axis=0)
-        c = np.array(fit.coefficients) * scale
-        gradient = (X / scale).T @ (y - X @ np.array(fit.coefficients))
-        tol = 1e-9 * np.linalg.norm(y)
-        assert np.all(c >= 0)
-        assert np.all(gradient[c == 0] <= tol)
-        assert np.all(np.abs(gradient[c > 0]) <= tol)
-
     def test_narrow_span_rejected(self):
         d_r = np.array([1.0, 1.2, 1.4, 1.6]) * 1e-6
         k = PREFACTOR_TRUE / (self.D0 - d_r)
@@ -332,6 +314,24 @@ class TestDecomposeResidual:
         fit = decompose_residual(list(zip(d, f)), nonnegative=True)
         assert fit.c1 >= 0 and fit.c2 >= 0 and fit.c3 >= 0
         assert fit.c2 == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(span=st.floats(5.0, 20.0), amplitudes=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           noise=st.lists(st.floats(-0.2, 0.2), min_size=12, max_size=12))
+    def test_nonnegative_fit_meets_the_optimality_conditions(self, span, amplitudes, noise):
+        # Karush-Kuhn-Tucker conditions in the column-scaled basis: c >= 0, and the
+        # gradient X^T (y - X c) is <= 0 where c = 0 and 0 where c > 0
+        d = np.geomspace(1e-6, span * 1e-6, 12)
+        X = np.column_stack([1.0 / d, 1.0 / d**2, 1.0 / d**3])
+        y = X @ (np.array(amplitudes) * [1e-16, 1e-22, 1e-28]) + np.array(noise) * 1e-10
+        fit = decompose_residual(list(zip(d, y)), nonnegative=True)
+        scale = np.linalg.norm(X, axis=0)
+        c = np.array(fit.coefficients) * scale
+        gradient = (X / scale).T @ (y - X @ np.array(fit.coefficients))
+        tol = 1e-9 * np.linalg.norm(y)
+        assert np.all(c >= 0)
+        assert np.all(gradient[c == 0] <= tol)
+        assert np.all(np.abs(gradient[c > 0]) <= tol)
 
     def test_narrow_span_rejected(self):
         d = np.linspace(1e-6, 2e-6, 8)
